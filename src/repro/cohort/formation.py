@@ -21,7 +21,12 @@ We implement that as an optimisation problem:
 
 The solver is a deterministic snake draft (sorted by ability) followed by
 a local-search improvement phase over pairwise swaps — small-instance
-exact enough in practice, and every invariant is property-tested.
+exact enough in practice, and every invariant is property-tested.  The
+objective is built from per-team terms (mean ability, solo-woman flag,
+friend pairs together), so the swap search evaluates each candidate by
+recomputing only the two teams the swap touches and combining them with
+the cached terms of the rest — the same floats, hence the same decisions,
+as recomputing the whole objective.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ class FormationCriteria:
     def __post_init__(self) -> None:
         if self.ability_weight < 0 or self.solo_female_penalty < 0:
             raise ValueError("criteria weights must be non-negative")
+        if self.max_swap_rounds < 0:
+            raise ValueError(f"max_swap_rounds must be >= 0, got {self.max_swap_rounds}")
         for pair in self.friend_pairs:
             if len(pair) != 2:
                 raise ValueError(f"friend pair must contain exactly 2 ids, got {sorted(pair)}")
@@ -71,30 +78,45 @@ def team_sizes(n_students: int, n_teams: int) -> list[int]:
     return sizes
 
 
-def _objective(
-    teams: list[list[Student]], criteria: FormationCriteria
-) -> float:
+def _team_terms(
+    abilities: Sequence[float], n_female: int, ids: set[str], criteria: FormationCriteria
+) -> tuple[float, int, int]:
+    """One team's objective terms: mean ability, solo-woman flag, friend pairs."""
+    mean = sum(abilities) / len(abilities)
+    solo = 1 if n_female == 1 else 0
+    friends = len([pair for pair in criteria.friend_pairs if pair <= ids])
+    return mean, solo, friends
+
+
+def _score(terms: Sequence[tuple[float, int, int]], criteria: FormationCriteria) -> float:
     """Lower is better: ability spread + gender-isolation + friend penalties."""
-    means = [sum(s.ability_index for s in t) / len(t) for t in teams]
+    means = [mean for mean, _, _ in terms]
     grand = sum(means) / len(means)
-    ability = sum((m - grand) ** 2 for m in means) / len(means)
-
-    solo = 0
-    for t in teams:
-        n_f = sum(1 for s in t if s.gender is Gender.FEMALE)
-        if n_f == 1:
-            solo += 1
-
-    friends = 0
-    if criteria.friend_pairs:
-        for t in teams:
-            ids = {s.student_id for s in t}
-            friends += sum(1 for pair in criteria.friend_pairs if pair <= ids)
-
+    ability = sum([(m - grand) ** 2 for m in means]) / len(means)
+    solo = sum([flag for _, flag, _ in terms])
+    friends = sum([count for _, _, count in terms])
     return (
         criteria.ability_weight * ability
         + criteria.solo_female_penalty * solo
         + 10.0 * friends  # hard-ish constraint: dominated by any swap that fixes it
+    )
+
+
+def _objective(
+    teams: list[list[Student]], criteria: FormationCriteria
+) -> float:
+    """The formation objective of a whole assignment (see :func:`_score`)."""
+    return _score(
+        [
+            _team_terms(
+                [s.ability_index for s in t],
+                sum(1 for s in t if s.gender is Gender.FEMALE),
+                {s.student_id for s in t},
+                criteria,
+            )
+            for t in teams
+        ],
+        criteria,
     )
 
 
@@ -131,24 +153,51 @@ def _snake_draft(students: Sequence[Student], sizes: list[int]) -> list[list[Stu
 def _improve(
     teams: list[list[Student]], criteria: FormationCriteria
 ) -> list[list[Student]]:
-    """First-improvement local search over cross-team pairwise swaps."""
-    best = _objective(teams, criteria)
+    """First-improvement local search over cross-team pairwise swaps.
+
+    Teams are rosters of indices into ``students``, whose ability and
+    gender are read once.  A swap changes only teams ``a`` and ``b``, so
+    only their terms are recomputed (summing in member order, as
+    :func:`_objective` does); the others stay cached.
+    """
+    students = [s for t in teams for s in t]
+    ability = [s.ability_index for s in students]
+    female = [1 if s.gender is Gender.FEMALE else 0 for s in students]
+    ident = [s.student_id for s in students]
+    index = iter(range(len(students)))
+    rosters = [[next(index) for _ in t] for t in teams]
+
+    def team_terms(roster: list[int]) -> tuple[float, int, int]:
+        return _team_terms(
+            [ability[k] for k in roster],
+            sum([female[k] for k in roster]),
+            {ident[k] for k in roster} if criteria.friend_pairs else set(),
+            criteria,
+        )
+
+    terms = [team_terms(r) for r in rosters]
+    best = _score(terms, criteria)
     for _ in range(criteria.max_swap_rounds):
         improved = False
-        for a in range(len(teams)):
-            for b in range(a + 1, len(teams)):
-                for i in range(len(teams[a])):
-                    for j in range(len(teams[b])):
-                        teams[a][i], teams[b][j] = teams[b][j], teams[a][i]
-                        candidate = _objective(teams, criteria)
+        for a in range(len(rosters)):
+            team_a = rosters[a]
+            for b in range(a + 1, len(rosters)):
+                team_b = rosters[b]
+                for i in range(len(team_a)):
+                    for j in range(len(team_b)):
+                        team_a[i], team_b[j] = team_b[j], team_a[i]
+                        kept = terms[a], terms[b]
+                        terms[a], terms[b] = team_terms(team_a), team_terms(team_b)
+                        candidate = _score(terms, criteria)
                         if candidate < best - 1e-12:
                             best = candidate
                             improved = True
                         else:
-                            teams[a][i], teams[b][j] = teams[b][j], teams[a][i]
+                            team_a[i], team_b[j] = team_b[j], team_a[i]
+                            terms[a], terms[b] = kept
         if not improved:
             break
-    return teams
+    return [[students[k] for k in roster] for roster in rosters]
 
 
 def form_teams(

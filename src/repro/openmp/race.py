@@ -32,7 +32,9 @@ Typical use::
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import heapq
 import threading
 from dataclasses import dataclass
 from typing import Iterator
@@ -125,11 +127,16 @@ class RaceDetector:
     # -- analysis ----------------------------------------------------------
 
     def races(self, limit: int | None = None) -> list[Race]:
-        """Conflicting access pairs observed so far.
+        """Conflicting access pairs observed so far, in (first, second) order.
 
-        Pair enumeration is quadratic in the accesses per (variable,
-        epoch); pass ``limit`` to stop after that many races — enough for
-        "is this program racy?" checks on long loops.
+        Accesses with the same thread, kind and lock set conflict with the
+        same partners, so each (variable, epoch) group is bucketed by that
+        class and every access only visits the later accesses of classes
+        that conflict with its own.  The work grows with the accesses
+        times the number of classes, plus the races reported, so a log
+        whose accesses all share a lock costs one pass.  Pass ``limit`` to
+        stop after that many races — enough for "is this program racy?"
+        checks on long racy loops.
         """
         with self._guard:
             accesses = list(self._accesses)
@@ -149,16 +156,29 @@ class RaceDetector:
         for access in accesses:
             by_key.setdefault((access.variable, access.epoch), []).append(access)
         for group in by_key.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    if a.thread_num == b.thread_num:
-                        continue
-                    if not (a.is_write or b.is_write):
-                        continue
-                    if a.locks & b.locks:
-                        continue
-                    found.append(Race(a, b))
+            # Ascending indices of each (thread, kind, locks) class, and for
+            # each class the index lists of the classes it conflicts with.
+            keys = [(a.thread_num, a.is_write, a.locks) for a in group]
+            classes: dict[tuple[int, bool, frozenset[str]], list[int]] = {}
+            for index, key in enumerate(keys):
+                classes.setdefault(key, []).append(index)
+            partners = {
+                key: [
+                    indices
+                    for other, indices in classes.items()
+                    if key[0] != other[0] and (key[1] or other[1]) and not key[2] & other[2]
+                ]
+                for key in classes
+            }
+            for i, key in enumerate(keys):
+                # Later partners in ascending order, as the pairwise scan
+                # met them, so ``limit`` cuts the list at the same place.
+                tails = [
+                    map(indices.__getitem__, range(bisect.bisect_right(indices, i), len(indices)))
+                    for indices in partners[key]
+                ]
+                for j in heapq.merge(*tails):
+                    found.append(Race(group[i], group[j]))
                     if limit is not None and len(found) >= limit:
                         return found
         return found

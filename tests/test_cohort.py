@@ -19,7 +19,7 @@ from repro.cohort import (
     random_teams,
     rotate_coordinators,
 )
-from repro.cohort.formation import team_sizes
+from repro.cohort.formation import _objective, _snake_draft, team_sizes
 
 
 class TestStudents:
@@ -139,6 +139,128 @@ class TestFormation:
             FormationCriteria(ability_weight=-1)
         with pytest.raises(ValueError):
             FormationCriteria(friend_pairs=frozenset({frozenset({"a"})}))
+        with pytest.raises(ValueError):
+            FormationCriteria(max_swap_rounds=-1)
+        assert FormationCriteria(max_swap_rounds=0).max_swap_rounds == 0
+
+
+#: Seed-2018 rosters (team id -> member ids) the study forms; any change to
+#: the solver that moves a student shows up here.
+GOLDEN_ROSTERS_2018 = {
+    "S1T01": ("s017", "s032", "s046", "s048", "s051"),
+    "S1T02": ("s011", "s030", "s031", "s056", "s057"),
+    "S1T03": ("s005", "s018", "s019", "s043", "s047"),
+    "S1T04": ("s006", "s007", "s025", "s039", "s054"),
+    "S1T05": ("s013", "s033", "s034", "s055", "s059"),
+    "S1T06": ("s002", "s021", "s036", "s041", "s052"),
+    "S1T07": ("s020", "s024", "s026", "s045", "s068"),
+    "S1T08": ("s022", "s027", "s028", "s044", "s050"),
+    "S1T09": ("s003", "s012", "s014", "s035", "s049"),
+    "S1T10": ("s001", "s016", "s023", "s053", "s065"),
+    "S1T11": ("s009", "s038", "s042", "s058"),
+    "S1T12": ("s010", "s029", "s037", "s040"),
+    "S1T13": ("s004", "s008", "s015", "s064"),
+    "S2T01": ("s063", "s066", "s095", "s105", "s120"),
+    "S2T02": ("s061", "s079", "s090", "s098", "s119"),
+    "S2T03": ("s062", "s077", "s094", "s102", "s104"),
+    "S2T04": ("s070", "s086", "s101", "s109", "s118"),
+    "S2T05": ("s069", "s074", "s088", "s089", "s093"),
+    "S2T06": ("s060", "s072", "s085", "s110", "s121"),
+    "S2T07": ("s076", "s082", "s112", "s116", "s117"),
+    "S2T08": ("s071", "s087", "s097", "s103", "s122"),
+    "S2T09": ("s075", "s078", "s080", "s081", "s092"),
+    "S2T10": ("s073", "s096", "s108", "s111", "s113"),
+    "S2T11": ("s067", "s099", "s106", "s114"),
+    "S2T12": ("s083", "s091", "s115", "s124"),
+    "S2T13": ("s084", "s100", "s107", "s123"),
+}
+
+
+def _reference_objective(teams, criteria):
+    """The formation objective recomputed over every team.
+
+    ``teams`` holds ``(ability, is_female, student_id)`` rows, so each
+    student's ability is read once and the oracle stays quick.
+    """
+    means = [sum([s[0] for s in t]) / len(t) for t in teams]
+    grand = sum(means) / len(means)
+    ability = sum([(m - grand) ** 2 for m in means]) / len(means)
+    solo = len([t for t in teams if sum([s[1] for s in t]) == 1])
+    friends = 0
+    if criteria.friend_pairs:
+        for t in teams:
+            ids = {s[2] for s in t}
+            friends += len([pair for pair in criteria.friend_pairs if pair <= ids])
+    return (
+        criteria.ability_weight * ability
+        + criteria.solo_female_penalty * solo
+        + 10.0 * friends
+    )
+
+
+def _rows(teams):
+    return [[(s.ability_index, s.gender is Gender.FEMALE, s.student_id) for s in t]
+            for t in teams]
+
+
+def _reference_form_teams(students, n_teams, criteria):
+    """Brute-force oracle: snake draft, then first-improvement swaps that
+    re-evaluate the whole objective for every candidate."""
+    teams = _rows(_snake_draft(students, team_sizes(len(students), n_teams)))
+    best = _reference_objective(teams, criteria)
+    for _ in range(criteria.max_swap_rounds):
+        improved = False
+        for a in range(len(teams)):
+            for b in range(a + 1, len(teams)):
+                for i in range(len(teams[a])):
+                    for j in range(len(teams[b])):
+                        teams[a][i], teams[b][j] = teams[b][j], teams[a][i]
+                        candidate = _reference_objective(teams, criteria)
+                        if candidate < best - 1e-12:
+                            best = candidate
+                            improved = True
+                        else:
+                            teams[a][i], teams[b][j] = teams[b][j], teams[a][i]
+        if not improved:
+            break
+    return [tuple(sorted(s[2] for s in t)) for t in teams]
+
+
+def _friend_criteria(students, n_teams):
+    """Friend pairs the snake draft puts together, plus one from outside."""
+    draft = _snake_draft(students, team_sizes(len(students), n_teams))
+    pairs = {frozenset({t[0].student_id, t[1].student_id}) for t in draft[::3]}
+    pairs.add(frozenset({students[0].student_id, "outsider"}))
+    return FormationCriteria(friend_pairs=frozenset(pairs))
+
+
+class TestFormationOracle:
+    def test_golden_rosters_seed_2018(self):
+        rosters = {}
+        for index, section in enumerate(make_paper_sections(2018), start=1):
+            for team in form_teams(section.students, 13, id_prefix=f"S{index}T"):
+                rosters[team.team_id] = tuple(m.student_id for m in team.members)
+        assert rosters == GOLDEN_ROSTERS_2018
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_full_recompute_search(self, seed):
+        for section in make_paper_sections(seed):
+            students = section.students
+            for criteria in (FormationCriteria(), _friend_criteria(students, 13)):
+                formed = [
+                    tuple(m.student_id for m in t.members)
+                    for t in form_teams(students, 13, criteria)
+                ]
+                assert formed == _reference_form_teams(students, 13, criteria)
+
+    def test_objective_matches_reference(self):
+        students = make_paper_sections(3)[0].students
+        criteria = _friend_criteria(students, 13)
+        for teams in (
+            _snake_draft(students, team_sizes(len(students), 13)),
+            [list(t.members) for t in form_teams(students, 13, criteria)],
+        ):
+            assert _objective(teams, criteria) == _reference_objective(_rows(teams), criteria)
 
 
 class TestTeams:

@@ -1,8 +1,11 @@
 """The data-race detector: soundness on seeded races, silence on safe code."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.openmp import OpenMP, RaceDetector, RaceError, Shared
+from repro.openmp.race import Access, Race
 
 
 class TestDetection:
@@ -137,3 +140,57 @@ class TestReporting:
         detector = RaceDetector()
         x = Shared(7, "x", detector)
         assert x.value == 7
+
+
+def _reference_conflicts(accesses, limit):
+    """Quadratic oracle: every pair within a (variable, epoch) group, in order."""
+    found = []
+    by_key = {}
+    for access in accesses:
+        by_key.setdefault((access.variable, access.epoch), []).append(access)
+    for group in by_key.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                a, b = group[i], group[j]
+                if a.thread_num == b.thread_num:
+                    continue
+                if not (a.is_write or b.is_write):
+                    continue
+                if a.locks & b.locks:
+                    continue
+                found.append(Race(a, b))
+                if limit is not None and len(found) >= limit:
+                    return found
+    return found
+
+
+_accesses = st.lists(
+    st.builds(
+        Access,
+        variable=st.sampled_from(["x", "y"]),
+        thread_num=st.integers(0, 3),
+        epoch=st.integers(0, 1),
+        is_write=st.booleans(),
+        locks=st.sampled_from(
+            [frozenset(), frozenset(), frozenset({"a"}), frozenset({"b"}),
+             frozenset({"a", "b"})]
+        ),
+    ),
+    max_size=120,
+)
+
+
+class TestEnumerationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(accesses=_accesses, k=st.integers(2, 60))
+    def test_matches_quadratic_reference(self, accesses, k):
+        for limit in (None, 1, k):
+            got = RaceDetector._find_conflicts(accesses, limit)
+            assert got == _reference_conflicts(accesses, limit)
+
+    def test_critical_section_log_has_no_races(self):
+        log = [
+            Access("c", thread, 0, is_write, frozenset({"update"}))
+            for _ in range(400) for thread in range(4) for is_write in (False, True)
+        ]
+        assert RaceDetector._find_conflicts(log, None) == []
