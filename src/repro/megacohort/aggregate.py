@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.simulation.model import derived_scores
 from repro.stats.streaming import CoMoments, Moments
 
 __all__ = ["SurveyStats", "analyze"]
@@ -53,11 +54,12 @@ class SurveyStats:
     def from_scores(cls, skills: Sequence[str], scores: np.ndarray) -> "SurveyStats":
         """Reduce a raw item-score tensor (n, K, 2, 2, items) to statistics.
 
-        The derived per-student quantities use the same arithmetic as
-        :class:`~repro.simulation.model.RawScores` and
-        :mod:`repro.survey.scoring` — integer sums are exact, so the
-        per-student values entering the accumulators are bit-identical
-        to the in-memory path's.
+        The per-student quantities come from exact integer item sums
+        (:func:`~repro.simulation.model.derived_scores`, shared with
+        :class:`~repro.simulation.model.RawScores` and calibration), so
+        each value entering the accumulators is the same float a mean
+        over the item axis gives, bit for bit.  Needs at least 2 items
+        per skill.
         """
         skills = tuple(skills)
         if scores.ndim != 5:
@@ -67,18 +69,16 @@ class SurveyStats:
             raise ValueError(f"{k} score skills for {len(skills)} names")
         if n_cat != 2 or n_wave != 2:
             raise ValueError("scores must have 2 categories and 2 waves")
-        overall = scores.mean(axis=(1, 4))                # (n, C, W)
+        derived = derived_scores(scores)
+        overall = derived.overall                         # (n, C, W)
         diff = overall[:, :, 0] - overall[:, :, 1]        # (n, C) first - second
-        definition = scores[..., 0]
-        components = scores[..., 1:].mean(axis=-1)
-        composite = (definition + components) / 2.0       # (n, K, C, W)
-        skill = scores.mean(axis=-1)                      # (n, K, C, W)
+        skill = derived.skill                             # (n, K, C, W)
         return cls(
             skills=skills,
             items_per_skill=items,
             overall=Moments.from_batch(overall),
             diff=Moments.from_batch(diff),
-            composite=Moments.from_batch(composite),
+            composite=Moments.from_batch(derived.composite),
             skill_pair=CoMoments.from_batch(skill[:, :, 0, :], skill[:, :, 1, :]),
         )
 

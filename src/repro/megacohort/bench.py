@@ -14,7 +14,7 @@ Three questions, one point (``BENCH_megacohort.json``):
   the estimated footprint of materialising the full response tensor
   (:func:`repro.megacohort.run.full_tensor_bytes`).  The streamed run
   must stay under half the full-tensor estimate; at the default
-  N=1,000,000 the estimate is ~2.7 GB and the streamed peak is tens of
+  N=1,000,000 the estimate is ~1.8 GB and the streamed peak is tens of
   MB per in-flight shard plus the interpreter.
 
 ``quick`` shrinks the cohort to 50,000 rows for the CI smoke step; the
@@ -71,7 +71,7 @@ def run_megacohort_bench(
     full_tensor = full_tensor_bytes(n)
     rss_bounded = (
         peak_rss < _RSS_FRACTION * full_tensor if not quick
-        # The 50k tensor (~140 MB) is smaller than a warm interpreter's
+        # The 50k tensor (~89 MB) is smaller than a warm interpreter's
         # RSS; the memory gate is only meaningful at full scale.
         else True
     )

@@ -11,7 +11,7 @@ order, and computes the analysis from the merged statistics alone.
 
 Peak memory is bounded by the shards in flight, never by N: the full
 response tensor at N=1,000,000 would need roughly
-:func:`full_tensor_bytes` ≈ 2.7 GB, while the streamed run holds a few
+:func:`full_tensor_bytes` ≈ 1.8 GB, while the streamed run holds a few
 tens of MB per in-flight shard.
 
 :func:`run_in_memory` is the reference path — the existing
@@ -31,6 +31,7 @@ from repro.megacohort.aggregate import SurveyStats, analyze
 from repro.megacohort.shards import plan_shards, shard_stats_task
 from repro.sched.core import Call
 from repro.sched.executor import WorkStealingExecutor
+from repro.simulation.model import LIKERT_DTYPE
 from repro.stats.streaming import merge_indexed
 
 __all__ = [
@@ -70,9 +71,10 @@ def _calibration(seed: int):
 
 def full_tensor_bytes(n: int, k: int = 7, items_per_skill: int = 5) -> int:
     """What the *materialised* pipeline would hold for ``n`` students:
-    the int64 score tensor plus the standard-normal draw blocks the
-    N=124 model keeps for calibration."""
-    scores = k * 2 * 2 * items_per_skill * 8
+    the score tensor (at its real element size,
+    :data:`~repro.simulation.model.LIKERT_DTYPE`) plus the float64
+    standard-normal draw blocks the N=124 model keeps for calibration."""
+    scores = k * 2 * 2 * items_per_skill * LIKERT_DTYPE.itemsize
     draws = (2 * 2 * 2 + k * 2 * 2 * 2 + k * 2 * 2 * items_per_skill) * 8
     return n * (scores + draws)
 

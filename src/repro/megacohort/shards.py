@@ -49,7 +49,7 @@ __all__ = [
     "shard_stats_task",
 ]
 
-#: Default shard granularity.  At ~2.7 KB of draw+score footprint per
+#: Default shard granularity.  At ~1.8 KB of draw+score footprint per
 #: row this keeps a shard's working set in the tens of megabytes —
 #: large enough that NumPy dominates the task, small enough that
 #: workers-many shards in flight stay far below the full-tensor cost.

@@ -19,8 +19,10 @@ Each of the skill's items is then an independent noisy read of the trait,
     item = clip(round(theta + sigma_item * e), 1, 5)
 
 which is exactly a Gaussian-copula discretisation with thresholds at the
-half-integers.  Skill scores / overall averages are computed downstream by
-:mod:`repro.survey.scoring` from these raw integer items.
+half-integers, stored as an int8 Likert tensor.  The per-student skill,
+composite and overall scores come from exact integer item sums
+(:func:`derived_scores`); :mod:`repro.survey.scoring` computes the same
+quantities from the typed response objects.
 
 Waves are drawn independently (no cross-wave student correlation).  This
 is a documented choice: the paper's reported t statistics are *not*
@@ -32,7 +34,7 @@ means/SDs exactly and report the recomputed t.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +44,9 @@ __all__ = [
     "ResponseModel",
     "CATEGORIES",
     "WAVES",
+    "LIKERT_DTYPE",
+    "DerivedScores",
+    "derived_scores",
     "draw_response_blocks",
     "student_factors",
     "skill_residuals",
@@ -62,6 +67,9 @@ LATENT_SCALE = 0.38
 #: SD of the per-item read noise around the trait (small, for the same
 #: attenuation reason; rounding to the Likert grid adds ~1/12 on its own).
 ITEM_NOISE = 0.22
+
+#: Element type of the item-score tensor: Likert items are 1..5.
+LIKERT_DTYPE = np.dtype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -131,9 +139,46 @@ class ModelKnobs:
         return cls(mu=mu, alpha=alpha, c_q=c_q)
 
 
+class DerivedScores(NamedTuple):
+    """Per-student scores derived from an item tensor (N, K, 2, 2, items)."""
+
+    overall: np.ndarray     # (N, 2, 2): mean over skills and items
+    composite: np.ndarray   # (N, K, 2, 2): (definition + mean(components)) / 2
+    skill: np.ndarray       # (N, K, 2, 2): mean over items
+
+
+def derived_scores(scores: np.ndarray) -> DerivedScores:
+    """Skill, composite and overall scores from exact integer item sums.
+
+    Item 0 of every skill is the definition item; ``rest`` adds the
+    component items slice by slice in int64, so no item count can
+    overflow an int8 tensor.  Integer sums are exact, so each score is
+    one division of an exact sum — the same float a mean over the item
+    axis gives.  Needs at least 2 items per skill: a composite without
+    component items is undefined.
+    """
+    n_items = scores.shape[-1]
+    if n_items < 2:
+        raise ValueError(
+            f"need at least 2 items per skill (a definition and a "
+            f"component), got {n_items}"
+        )
+    k = scores.shape[1]
+    definition = scores[..., 0]
+    rest = scores[..., 1].astype(np.int64)
+    for j in range(2, n_items):
+        np.add(rest, scores[..., j], out=rest)
+    total = definition + rest
+    return DerivedScores(
+        overall=total.sum(axis=1) / (k * n_items),
+        composite=(definition + rest / (n_items - 1)) / 2.0,
+        skill=total / n_items,
+    )
+
+
 @dataclass(frozen=True)
 class RawScores:
-    """Generated item scores: int array (N, K, 2 categories, 2 waves, items)."""
+    """Generated item scores: int8 array (N, K, 2 categories, 2 waves, items)."""
 
     skills: tuple[str, ...]
     items_per_skill: int
@@ -141,7 +186,7 @@ class RawScores:
 
     def skill_score(self) -> np.ndarray:
         """Per-student skill scores (N, K, 2, 2): mean over items."""
-        return self.scores.mean(axis=-1)
+        return derived_scores(self.scores).skill
 
     def composite_score(self) -> np.ndarray:
         """Per-student Beyerlein composite scores (N, K, 2, 2).
@@ -150,13 +195,11 @@ class RawScores:
         ``(definition + mean(components)) / 2`` — the quantity Tables 5
         and 6 rank, and therefore the quantity calibration targets.
         """
-        definition = self.scores[..., 0]
-        components = self.scores[..., 1:].mean(axis=-1)
-        return (definition + components) / 2.0
+        return derived_scores(self.scores).composite
 
     def overall(self) -> np.ndarray:
         """Per-student overall average (N, 2, 2): mean over skills & items."""
-        return self.scores.mean(axis=(1, 4))
+        return derived_scores(self.scores).overall
 
 
 def draw_response_blocks(
@@ -210,7 +253,9 @@ def scores_from_blocks(
     The pure generation map behind :meth:`ResponseModel.generate`,
     shared with the mega-cohort shard path; the floating-point
     operation order is the identity anchor, so change it only with the
-    N=124 bit-identity test in hand.
+    N=124 bit-identity test in hand.  The item map runs in place over
+    one float buffer (scale the noise, add the trait, round, clip) and
+    returns a compact :data:`LIKERT_DTYPE` tensor of values 1..5.
     """
     k = q_raw.shape[1]
     if knobs.mu.shape != (k, 2, 2):
@@ -225,8 +270,11 @@ def scores_from_blocks(
     theta = knobs.mu[None, :, :, :] + latent_scale * (
         alpha * p[:, None, :, :] + np.sqrt(1 - alpha**2) * q
     )                                               # (N, K, C, W)
-    latent_items = theta[..., None] + item_noise * e
-    return np.clip(np.rint(latent_items), 1, 5).astype(np.int64)
+    latent = np.multiply(e, item_noise)             # (N, K, C, W, items)
+    np.add(theta[..., None], latent, out=latent)
+    np.rint(latent, out=latent)
+    np.clip(latent, 1, 5, out=latent)
+    return latent.astype(LIKERT_DTYPE)
 
 
 class ResponseModel:
@@ -245,8 +293,11 @@ class ResponseModel:
     ) -> None:
         if n_students < 2:
             raise ValueError("need at least 2 students")
-        if items_per_skill < 1:
-            raise ValueError("need at least 1 item per skill")
+        if items_per_skill < 2:
+            raise ValueError(
+                f"need at least 2 items per skill (a definition and a "
+                f"component), got {items_per_skill}"
+            )
         self.skills = tuple(skills)
         self.n_students = n_students
         self.items_per_skill = items_per_skill
@@ -290,12 +341,12 @@ class ResponseModel:
         ``pearson_r`` (K, W) computed from a fresh generation with the
         fixed underlying draws.
         """
-        raw = self.generate(knobs)
-        skill = raw.skill_score()                       # (N, K, C, W)
-        overall = raw.overall()                         # (N, C, W)
+        derived = derived_scores(self.generate(knobs).scores)
+        skill = derived.skill                           # (N, K, C, W)
+        overall = derived.overall                       # (N, C, W)
         # Mean targets are the published Tables 5/6 values, which are
         # cohort-mean *composite* scores.
-        skill_mean = raw.composite_score().mean(axis=0)  # (K, C, W)
+        skill_mean = derived.composite.mean(axis=0)     # (K, C, W)
         overall_sd = overall.std(axis=0, ddof=1)        # (C, W)
         k = len(self.skills)
         r = np.empty((k, 2))

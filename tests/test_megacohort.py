@@ -16,12 +16,16 @@ The load-bearing facts pinned here:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.megacohort.aggregate import SurveyStats, analyze
 from repro.megacohort.run import (
@@ -39,7 +43,7 @@ from repro.megacohort.shards import (
     shard_scores,
     shard_stats,
 )
-from repro.stats.streaming import merge_indexed
+from repro.stats.streaming import CoMoments, Moments, merge_indexed
 
 SEED = 2018
 
@@ -151,6 +155,75 @@ def test_streamed_count_mismatch_is_an_error():
     assert stats.count == 7
 
 
+# ------------------------------------------- golden statistics and oracle
+
+#: sha256 of the canonical JSON of ``run_streamed(n, shards, seed)``'s
+#: merged ``stats.as_dict()``, captured with int64 scores and the
+#: float-mean reduction (:func:`_float_mean_oracle`).  One changed bit
+#: anywhere in the merged statistics changes the digest.
+GOLDEN_STATS = {
+    (50_000, 4, 2018):
+        "28ac356a4dfd1954b7acec267332aba9fba74e1ab17bb3a9559afcbd2ecdc8c4",
+    (200_000, None, 45):
+        "685e35a4dde8ef0007ad507fc0a9cf6cf055984d1deffc670ba01407a038f71d",
+}
+
+
+def _digest(stats: SurveyStats) -> str:
+    text = json.dumps(stats.as_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, shards, seed", sorted(GOLDEN_STATS, key=str))
+def test_merged_stats_match_golden_digest(n, shards, seed):
+    result = run_streamed(n=n, shards=shards, seed=seed)
+    assert _digest(result.stats) == GOLDEN_STATS[(n, shards, seed)]
+
+
+def _float_mean_oracle(skills, scores: np.ndarray) -> SurveyStats:
+    """The reduction as float means over the item axis — the formulas
+    ``from_scores`` replaced with exact integer item sums."""
+    overall = scores.mean(axis=(1, 4))
+    diff = overall[:, :, 0] - overall[:, :, 1]
+    composite = (scores[..., 0] + scores[..., 1:].mean(axis=-1)) / 2.0
+    skill = scores.mean(axis=-1)
+    return SurveyStats(
+        skills=tuple(skills),
+        items_per_skill=scores.shape[-1],
+        overall=Moments.from_batch(overall),
+        diff=Moments.from_batch(diff),
+        composite=Moments.from_batch(composite),
+        skill_pair=CoMoments.from_batch(skill[:, :, 0, :], skill[:, :, 1, :]),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(1, 7),
+    items=st.sampled_from([2, 3, 5, 30]),
+    dtype=st.sampled_from([np.int8, np.int64]),
+    low=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=7, items=30, dtype=np.int8, low=5, seed=0)
+def test_from_scores_matches_float_mean_oracle_bitwise(n, k, items, dtype,
+                                                       low, seed):
+    # All-5 items (``low=5``): 30 of them sum to 150, past int8's 127,
+    # so an int8 accumulator fails the explicit example.
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(low, 6, size=(n, k, 2, 2, items)).astype(dtype)
+    skills = tuple(f"skill{i}" for i in range(k))
+    stats = SurveyStats.from_scores(skills, scores)
+    assert _digest(stats) == _digest(_float_mean_oracle(skills, scores))
+
+
+def test_from_scores_rejects_single_item_skills():
+    scores = np.full((4, 2, 2, 2, 1), 3, dtype=np.int8)
+    with pytest.raises(ValueError, match="at least 2 items"):
+        SurveyStats.from_scores(("a", "b"), scores)
+
+
 # ------------------------------------------------------ registry wiring
 
 def test_megacohort_registered_with_three_modes():
@@ -185,7 +258,9 @@ def test_sched_workload_digest_is_worker_independent():
 
 def test_full_tensor_estimate_scales_linearly():
     assert full_tensor_bytes(2_000) == 2 * full_tensor_bytes(1_000)
-    assert full_tensor_bytes(1_000_000) > 2 * 10**9
+    # Per row: int8 item scores plus the three float64 draw blocks.
+    per_row = 7 * 2 * 2 * 5 * 1 + (2 * 2 * 2 + 7 * 2 * 2 * 2 + 7 * 2 * 2 * 5) * 8
+    assert full_tensor_bytes(1_000_000) == 1_000_000 * per_row
 
 
 def test_peak_rss_helper_reports_positive_bytes():

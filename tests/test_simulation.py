@@ -23,7 +23,7 @@ class TestModel:
         model = small_model()
         raw = model.generate(ModelKnobs.initial(_targets_n(30)))
         assert raw.scores.min() >= 1 and raw.scores.max() <= 5
-        assert raw.scores.dtype.kind == "i"
+        assert raw.scores.dtype == np.int8
 
     def test_shape(self):
         model = small_model()
@@ -95,6 +95,12 @@ class TestModel:
     def test_rejects_tiny_cohort(self):
         with pytest.raises(ValueError):
             ResponseModel(ELEMENT_NAMES, n_students=1)
+
+    def test_rejects_single_item_skills(self):
+        # One item leaves no component items, so the composite score
+        # would be the mean of an empty slice (NaN).
+        with pytest.raises(ValueError, match="at least 2 items"):
+            ResponseModel(ELEMENT_NAMES, n_students=30, items_per_skill=1)
 
 
 def _targets_n(n):
