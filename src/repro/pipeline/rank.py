@@ -9,18 +9,25 @@ and this module builds the same shape over :class:`JobStore`:
   can reach), so promising candidates run first and a stopped sweep has
   already spent its budget on the best prospects;
 - **staleness** — pending age feeds the priority linearly, so low-prior
-  work cannot starve forever (aging);
+  work cannot starve forever (aging).  Every pending job ages at the
+  same rate, so the ``now`` in ``age = now - created_s`` adds one
+  constant to every score and drops out of the order: an older job's
+  head start is ``-created_s``;
 - **exploration bonus** — a *seeded* hash of the job key in ``[0, 1)``,
   scaled by a weight: a deterministic stand-in for epsilon-greedy
   exploration that keeps the ranking a pure function of (seed, jobs)
   and therefore replayable.
 
-:class:`StoreScheduler` is the pump between the durable store and the
-in-memory :class:`~repro.sched.executor.WorkStealingExecutor`: reclaim
-expired leases, rank the pending set, lease a batch in rank order,
-dispatch it through the executor, write results/failures back — until
-the store runs dry.  Durable state only ever lives in the store (the
-DESIGN rule); the executor remains the ephemeral dispatch layer.
+The order is thus a static key per job, :meth:`RankingPolicy.rank_key`,
+which :meth:`JobStore.enqueue_batch` stores and :meth:`JobStore.lease`
+sorts on in SQL.  :class:`StoreScheduler` is the pump between the
+durable store and the in-memory
+:class:`~repro.sched.executor.WorkStealingExecutor`: reclaim expired
+leases, lease the top-ranked batch, dispatch it through the executor,
+commit the batch's results in one transaction and its failures one by
+one — until the store runs dry.  Durable state only ever lives in the
+store (the DESIGN rule); the executor remains the ephemeral dispatch
+layer.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.faults.injector import InjectedCrash
-from repro.pipeline.store import JobRecord, JobStore
+from repro.pipeline.store import LEASED, JobRecord, JobStore
 from repro.telemetry import instrument as telemetry
 
 __all__ = ["RankWeights", "RankingPolicy", "StoreScheduler", "exploration_bonus"]
@@ -58,29 +65,26 @@ class RankWeights:
 class RankingPolicy:
     """Deterministic priority ordering over pending jobs."""
 
-    def __init__(self, seed: int = 0, weights: RankWeights | None = None,
-                 clock: Callable[[], float] = time.time) -> None:
+    def __init__(self, seed: int = 0, weights: RankWeights | None = None) -> None:
         self.seed = seed
         self.weights = weights if weights is not None else RankWeights()
-        self.clock = clock
 
-    def priority(self, job: JobRecord, now: float | None = None) -> float:
-        """The job's rank score at ``now`` (higher runs first)."""
-        stamp = self.clock() if now is None else now
+    def rank_key(self, key: str, expected_score: float,
+                 created_s: float) -> float:
+        """The job's stored dispatch key (higher runs first): its score
+        at any ``now`` less the ``staleness_per_s * now`` all jobs share."""
         w = self.weights
-        age = max(0.0, stamp - job.created_s)
         return (
-            w.expected_score * job.expected_score
-            + w.staleness_per_s * age
-            + w.exploration * exploration_bonus(self.seed, job.key)
+            w.expected_score * expected_score
+            - w.staleness_per_s * created_s
+            + w.exploration * exploration_bonus(self.seed, key)
         )
 
-    def rank(self, jobs: list[JobRecord],
-             now: float | None = None) -> list[JobRecord]:
-        """Jobs in dispatch order: score-descending, key-ascending ties —
-        a total order, so the ranking replays across processes."""
-        stamp = self.clock() if now is None else now
-        return sorted(jobs, key=lambda j: (-self.priority(j, stamp), j.key))
+    def rank(self, jobs: list[JobRecord]) -> list[JobRecord]:
+        """Jobs in dispatch order: key-descending, job-key-ascending ties —
+        a total order, and the one :meth:`JobStore.lease` applies in SQL."""
+        return sorted(jobs, key=lambda j: (
+            -self.rank_key(j.key, j.expected_score, j.created_s), j.key))
 
 
 class StoreScheduler:
@@ -89,7 +93,6 @@ class StoreScheduler:
     def __init__(
         self,
         store: JobStore,
-        policy: RankingPolicy | None = None,
         owner: str = "worker",
         lease_s: float | None = None,
         batch_size: int = 32,
@@ -104,7 +107,6 @@ class StoreScheduler:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.store = store
-        self.policy = policy if policy is not None else RankingPolicy()
         self.owner = owner
         self.lease_s = lease_s
         self.batch_size = batch_size
@@ -123,12 +125,15 @@ class StoreScheduler:
     ) -> dict[str, int]:
         """Run every matching job to a terminal state; returns counters.
 
-        Per round: reclaim expired leases, rank the pending set, lease
-        the top ``batch_size`` in rank order, dispatch the batch through
-        ``executor.map`` (handler exceptions become ``failed`` rows,
-        retried while attempts remain), repeat.  When pending is empty
-        but another live worker still holds leases, the drain waits for
-        those jobs to finish or expire instead of returning early.
+        Per round: reclaim expired leases, lease the top ``batch_size``
+        pending jobs in the store's dispatch order (:meth:`JobStore.lease`
+        picks them in SQL, so no round reads the whole pending set),
+        dispatch the batch through ``executor.map``, commit its results
+        with one :meth:`JobStore.complete_many` (handler exceptions become
+        ``failed`` rows, retried while attempts remain), repeat.  When
+        nothing is left to lease but another live worker still holds
+        leases, the drain waits for those jobs to finish or expire
+        instead of returning early.
 
         On entry any lease held under *this scheduler's own owner name*
         is released immediately (restart fencing): a scheduler that just
@@ -163,12 +168,13 @@ class StoreScheduler:
                             owner=self.owner, stage=stage or ""):
             while True:
                 stats["reclaimed"] += len(self.store.reclaim_expired())
-                pending = self.store.pending_jobs(run_id=run_id, stage=stage)
-                if not pending:
-                    others = [
-                        job for job in self.store.jobs(
-                            run_id=run_id, stage=stage, state="leased")
-                    ]
+                batch = self.store.lease(
+                    self.owner, lease_s=self.lease_s, run_id=run_id,
+                    stage=stage, limit=self.batch_size,
+                )
+                if not batch:
+                    others = self.store.counts(
+                        run_id=run_id, stage=stage).get(LEASED, 0)
                     if not others:
                         return stats
                     # Another worker on this store holds live leases;
@@ -177,20 +183,13 @@ class StoreScheduler:
                     stats["waits"] += 1
                     if waits > self.max_wait_rounds:
                         raise TimeoutError(
-                            f"drain stalled: {len(others)} job(s) leased by "
+                            f"drain stalled: {others} job(s) leased by "
                             f"other workers never finished or expired"
                         )
                     time.sleep(self.wait_s)
                     continue
                 waits = 0
                 stats["rounds"] += 1
-                ranked = self.policy.rank(pending)
-                batch = self.store.lease(
-                    self.owner, [job.job_id for job in ranked[:self.batch_size]],
-                    self.lease_s,
-                )
-                if not batch:
-                    continue                    # lost every race this round
                 stats["leased"] += len(batch)
                 with self._heartbeat([job.job_id for job in batch], stats):
                     results = executor.map(
@@ -198,11 +197,13 @@ class StoreScheduler:
                          for job in batch],
                         name="pipeline.job",
                     )
-                for job, (tag, value) in zip(batch, results):
-                    if tag == "ok":
-                        self.store.complete(job.job_id, value)
-                        stats["completed"] += 1
-                    else:
+                outcomes = list(zip(batch, results))
+                done = [(job.job_id, value)
+                        for job, (tag, value) in outcomes if tag == "ok"]
+                self.store.complete_many(done)
+                stats["completed"] += len(done)
+                for job, (tag, value) in outcomes:
+                    if tag != "ok":
                         retry = job.attempts < self.max_attempts
                         self.store.fail(job.job_id, value, retry=retry)
                         stats["retried" if retry else "failed"] += 1

@@ -102,15 +102,12 @@ class StageContext:
                 float(expected_score(item)) if expected_score else 0.0
             ),
         } for index, item in enumerate(items)]
-        records = self.store.enqueue_batch(specs)
+        records = self.store.enqueue_batch(
+            specs, rank_key=RankingPolicy(seed=self.seed).rank_key)
         resumed_done = sum(
             1 for record, created in records if record.state == "done"
         )
-        scheduler = StoreScheduler(
-            self.store,
-            policy=RankingPolicy(seed=self.seed),
-            owner=f"{self.run_id}:{stage}",
-        )
+        scheduler = StoreScheduler(self.store, owner=f"{self.run_id}:{stage}")
         drain_stats = scheduler.drain(
             self._executor(),
             lambda job: handler(job.payload["item"]),
@@ -122,9 +119,11 @@ class StageContext:
         self.stats["resumed_done"] = (
             self.stats.get("resumed_done", 0) + resumed_done
         )
+        finals = {job.key: job
+                  for job in self.store.jobs(run_id=self.run_id, stage=stage)}
         out: list[Any] = []
         for record, _created in records:
-            final = self.store.get_by_key(record.key)
+            final = finals[record.key]
             if final.state != "done":
                 raise PipelineError(
                     f"fan-out job {final.job_id} ({stage}) ended "

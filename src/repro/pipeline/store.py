@@ -30,12 +30,18 @@ never a torn row.  **Leases** make worker death recoverable: claiming a
 job stamps an owner and an expiry; :meth:`JobStore.reclaim_expired`
 moves timed-out leases back to ``pending`` (attempts preserved), and
 :meth:`JobStore.release_owner` lets a restarted worker fence its own
-previous incarnation immediately.
+previous incarnation immediately.  **Dispatch order** is a stored,
+indexed ``rank_key`` (see
+:meth:`repro.pipeline.rank.RankingPolicy.rank_key`): :meth:`JobStore.lease`
+picks the top pending batch with ``ORDER BY rank_key DESC, key`` inside
+its own transaction, so no caller re-reads the pending set to rank it.
 
 Every write transaction is a ``pipeline.store`` fault site — an
 injected crash aborts the transaction (rollback, then the exception
 propagates), which is exactly how chaos tests exercise the
-crash-mid-commit path without a real ``kill -9``.
+crash-mid-commit path without a real ``kill -9``.  A completion batch
+(:meth:`JobStore.complete_many`) is one transaction whose site fires
+once per row, so a crash at any row rolls back the whole batch.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 
@@ -100,9 +106,9 @@ CREATE TABLE IF NOT EXISTS jobs (
     created_s      REAL NOT NULL,
     updated_s      REAL NOT NULL,
     result         TEXT,
-    error          TEXT
+    error          TEXT,
+    rank_key       REAL
 );
-CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs(state, run_id, stage);
 CREATE TABLE IF NOT EXISTS checkpoints (
     run_id    TEXT NOT NULL,
     stage     TEXT NOT NULL,
@@ -127,6 +133,36 @@ CREATE TABLE IF NOT EXISTS completions (
 """
 
 
+#: Run after the tables exist (and after an older file gained
+#: ``rank_key``): the lease index serves ``ORDER BY rank_key DESC, key``
+#: within one (state, run, stage) and every filter on its prefix.
+_INDEXES = """
+DROP INDEX IF EXISTS jobs_by_state;
+CREATE INDEX IF NOT EXISTS jobs_by_rank
+    ON jobs(state, run_id, stage, rank_key DESC, key);
+"""
+
+#: Host parameters per ``IN (...)`` list, under SQLite's oldest limit (999).
+_CHUNK = 500
+
+
+def _chunks(values: Sequence[Any]) -> Iterator[Sequence[Any]]:
+    for start in range(0, len(values), _CHUNK):
+        yield values[start:start + _CHUNK]
+
+
+def _marks(values: Sequence[Any]) -> str:
+    return ",".join("?" * len(values))
+
+
+def _where(**filters: Any) -> tuple[str, list[Any]]:
+    """``WHERE`` over the filters that are not None (``""`` when none are)."""
+    clauses = [f"{column} = ?" for column, value in filters.items()
+               if value is not None]
+    params = [value for value in filters.values() if value is not None]
+    return (f"WHERE {' AND '.join(clauses)}" if clauses else ""), params
+
+
 class StoreError(RuntimeError):
     """A job-store operation could not be applied."""
 
@@ -142,7 +178,11 @@ def _canonical_json(obj: Any) -> str:
 
 def job_key(run_id: str, stage: str, payload: Any) -> str:
     """The content-addressed identity of a job (idempotent enqueue)."""
-    return fingerprint("pipeline.job", run_id, stage, _canonical_json(payload))
+    return _job_key(run_id, stage, _canonical_json(payload))
+
+
+def _job_key(run_id: str, stage: str, payload_json: str) -> str:
+    return fingerprint("pipeline.job", run_id, stage, payload_json)
 
 
 @dataclass(frozen=True)
@@ -163,6 +203,7 @@ class JobRecord:
     updated_s: float
     result: Any
     error: str | None
+    rank_key: float | None = None
 
     @property
     def terminal(self) -> bool:
@@ -185,6 +226,7 @@ def _decode(row: sqlite3.Row) -> JobRecord:
         updated_s=row["updated_s"],
         result=None if row["result"] is None else json.loads(row["result"]),
         error=row["error"],
+        rank_key=row["rank_key"],
     )
 
 
@@ -225,6 +267,32 @@ class JobStore:
                 self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
+            self._add_rank_key_column()
+            self._conn.executescript(_INDEXES)
+
+    def _add_rank_key_column(self) -> None:
+        """Give a file written before ``rank_key`` existed the column.
+
+        Its rows keep a NULL key until they are re-enqueued (see
+        :meth:`enqueue_batch`); until then they lease after every keyed
+        row.  The check repeats inside the write lock, so two processes
+        opening the same old file add the column once.
+        """
+        def missing() -> bool:
+            return "rank_key" not in {
+                row["name"] for row in self._conn.execute("PRAGMA table_info(jobs)")
+            }
+
+        if not missing():
+            return
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            if missing():
+                self._conn.execute("ALTER TABLE jobs ADD COLUMN rank_key REAL")
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
 
     # -- plumbing ------------------------------------------------------------
 
@@ -239,16 +307,18 @@ class JobStore:
         self.close()
 
     @contextmanager
-    def _write(self, op: str) -> Iterator[sqlite3.Connection]:
+    def _write(self, op: str, fire: bool = True) -> Iterator[sqlite3.Connection]:
         """One atomic write transaction; also the ``pipeline.store``
-        fault site.  An injected crash (or any error) rolls the whole
-        transaction back before propagating — the store never commits a
-        partial mutation."""
+        fault site (fired before COMMIT, unless the caller fires it
+        itself with ``fire=False``).  An injected crash (or any error)
+        rolls the whole transaction back before propagating — the store
+        never commits a partial mutation."""
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
                 yield self._conn
-                faults.fire("pipeline.store", key=op, op=op)
+                if fire:
+                    faults.fire("pipeline.store", key=op, op=op)
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -274,7 +344,9 @@ class JobStore:
         }])[0]
 
     def enqueue_batch(
-        self, specs: Sequence[Mapping[str, Any]]
+        self,
+        specs: Sequence[Mapping[str, Any]],
+        rank_key: Callable[[str, float, float], float] | None = None,
     ) -> list[tuple[JobRecord, bool]]:
         """Admit jobs idempotently in one transaction.
 
@@ -283,30 +355,60 @@ class JobStore:
         including ``done`` with its stored result) and ``created=False``.
         That is what makes a re-submitted sweep resume instead of
         duplicate.
+
+        ``rank_key(key, expected_score, created_s)`` gives each new row
+        its stored dispatch key (without it the key is NULL), and fills
+        the key of an existing row that has none, from that row's own
+        ``expected_score`` and ``created_s``.
         """
         now = self._now()
-        out: list[tuple[JobRecord, bool]] = []
-        created = 0
+        rows = []
+        for spec in specs:
+            payload = _canonical_json(spec.get("payload"))
+            run_id = str(spec.get("run_id", ""))
+            stage = str(spec.get("stage", ""))
+            key = spec.get("key") or _job_key(run_id, stage, payload)
+            expected = float(spec.get("expected_score", 0.0))
+            rows.append((key, run_id, stage, payload, expected,
+                         None if rank_key is None
+                         else float(rank_key(key, expected, now)),
+                         now, now))
+        keys = list(dict.fromkeys(row[0] for row in rows))
         with self._write("enqueue") as conn:
-            for spec in specs:
-                payload = spec.get("payload")
-                run_id = str(spec.get("run_id", ""))
-                stage = str(spec.get("stage", ""))
-                key = spec.get("key") or job_key(run_id, stage, payload)
-                cursor = conn.execute(
-                    "INSERT INTO jobs (key, run_id, stage, payload, "
-                    "  expected_score, state, created_s, updated_s) "
-                    "VALUES (?, ?, ?, ?, ?, 'pending', ?, ?) "
-                    "ON CONFLICT(key) DO NOTHING",
-                    (key, run_id, stage, _canonical_json(payload),
-                     float(spec.get("expected_score", 0.0)), now, now),
-                )
-                row = conn.execute(
-                    "SELECT * FROM jobs WHERE key = ?", (key,)
-                ).fetchone()
-                was_created = cursor.rowcount == 1
-                created += was_created
-                out.append((_decode(row), was_created))
+            # AUTOINCREMENT ids only grow, so a row is new iff its id is
+            # above every id that existed before this INSERT.
+            (last_id,) = conn.execute(
+                "SELECT COALESCE(MAX(id), 0) FROM jobs").fetchone()
+            conn.executemany(
+                "INSERT INTO jobs (key, run_id, stage, payload, "
+                "  expected_score, rank_key, state, created_s, updated_s) "
+                "VALUES (?, ?, ?, ?, ?, ?, 'pending', ?, ?) "
+                "ON CONFLICT(key) DO NOTHING",
+                rows,
+            )
+            found = {}
+            for chunk in _chunks(keys):
+                found.update(
+                    (row["key"], _decode(row)) for row in conn.execute(
+                        f"SELECT * FROM jobs WHERE key IN ({_marks(chunk)})",
+                        chunk))
+            if rank_key is not None:
+                unkeyed = [record for record in found.values()
+                           if record.rank_key is None]
+                for record in unkeyed:
+                    found[record.key] = replace(record, rank_key=float(rank_key(
+                        record.key, record.expected_score, record.created_s)))
+                conn.executemany(
+                    "UPDATE jobs SET rank_key = ? WHERE id = ?",
+                    [(found[record.key].rank_key, record.job_id)
+                     for record in unkeyed])
+        out: list[tuple[JobRecord, bool]] = []
+        seen: set[str] = set()
+        for key in (row[0] for row in rows):
+            record = found[key]
+            out.append((record, record.job_id > last_id and key not in seen))
+            seen.add(key)
+        created = sum(was_created for _record, was_created in out)
         if created:
             telemetry.inc("pipeline.jobs.enqueued", created)
         return out
@@ -338,13 +440,7 @@ class JobStore:
         state: str | None = None,
     ) -> list[JobRecord]:
         """Matching jobs in enqueue (id) order."""
-        clauses, params = [], []
-        for column, value in (("run_id", run_id), ("stage", stage),
-                              ("state", state)):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, params = _where(run_id=run_id, stage=stage, state=state)
         with self._lock:
             rows = self._conn.execute(
                 f"SELECT * FROM jobs {where} ORDER BY id", params
@@ -356,10 +452,11 @@ class JobStore:
     ) -> list[JobRecord]:
         return self.jobs(run_id=run_id, stage=stage, state=PENDING)
 
-    def counts(self, run_id: str | None = None) -> dict[str, int]:
-        """``{state: count}`` over (optionally one run's) jobs."""
-        where, params = ("WHERE run_id = ?", (run_id,)) if run_id is not None \
-            else ("", ())
+    def counts(
+        self, run_id: str | None = None, stage: str | None = None
+    ) -> dict[str, int]:
+        """``{state: count}`` over (optionally one run's, one stage's) jobs."""
+        where, params = _where(run_id=run_id, stage=stage)
         with self._lock:
             rows = self._conn.execute(
                 f"SELECT state, COUNT(*) AS n FROM jobs {where} "
@@ -406,33 +503,53 @@ class JobStore:
     def lease(
         self,
         owner: str,
-        job_ids: Sequence[int],
+        job_ids: Sequence[int] | None = None,
         lease_s: float | None = None,
+        *,
+        run_id: str | None = None,
+        stage: str | None = None,
+        limit: int | None = None,
     ) -> list[JobRecord]:
-        """Atomically claim specific pending jobs for ``owner``.
+        """Atomically claim pending jobs for ``owner``.
 
-        Returns the claimed records (attempts incremented, lease expiry
-        stamped).  Jobs that are no longer pending — another worker got
-        there first — are silently skipped: leasing races, it does not
-        raise.
+        With ``job_ids`` the claim is those jobs, in that order.  Without,
+        it is the top ``limit`` pending jobs (all, for None) of the
+        ``run_id``/``stage`` filter in dispatch order — ``rank_key``
+        descending, ``key`` ascending on ties, NULL keys last — chosen
+        inside the same transaction that claims them.
+
+        Returns the claimed records in claim order (attempts incremented,
+        lease expiry stamped).  Jobs that are no longer pending — another
+        worker got there first — are silently skipped: leasing races, it
+        does not raise.
         """
         ttl = self.lease_s if lease_s is None else float(lease_s)
         now = self._now()
-        claimed: list[JobRecord] = []
         with self._write("lease") as conn:
-            for job_id in job_ids:
-                cursor = conn.execute(
-                    "UPDATE jobs SET state = 'leased', lease_owner = ?, "
-                    "  lease_expires_s = ?, attempts = attempts + 1, "
-                    "  updated_s = ? "
-                    "WHERE id = ? AND state = 'pending'",
-                    (owner, now + ttl, now, job_id),
-                )
-                if cursor.rowcount == 1:
-                    row = conn.execute(
-                        "SELECT * FROM jobs WHERE id = ?", (job_id,)
-                    ).fetchone()
-                    claimed.append(_decode(row))
+            if job_ids is None:
+                where, params = _where(state=PENDING, run_id=run_id, stage=stage)
+                ids = [row["id"] for row in conn.execute(
+                    f"SELECT id FROM jobs {where} "
+                    f"ORDER BY rank_key DESC, key LIMIT ?",
+                    (*params, -1 if limit is None else limit))]
+            else:
+                wanted = list(dict.fromkeys(job_ids))
+                pending: set[int] = set()
+                for chunk in _chunks(wanted):
+                    pending.update(row["id"] for row in conn.execute(
+                        f"SELECT id FROM jobs WHERE state = 'pending' "
+                        f"AND id IN ({_marks(chunk)})", chunk))
+                ids = [job_id for job_id in wanted if job_id in pending]
+            rows = {}
+            for chunk in _chunks(ids):
+                conn.execute(
+                    f"UPDATE jobs SET state = 'leased', lease_owner = ?, "
+                    f"  lease_expires_s = ?, attempts = attempts + 1, "
+                    f"  updated_s = ? WHERE id IN ({_marks(chunk)})",
+                    (owner, now + ttl, now, *chunk))
+                rows.update((row["id"], row) for row in conn.execute(
+                    f"SELECT * FROM jobs WHERE id IN ({_marks(chunk)})", chunk))
+        claimed = [_decode(rows[job_id]) for job_id in ids]
         if claimed:
             telemetry.inc("pipeline.jobs.leased", len(claimed))
         return claimed
@@ -483,14 +600,30 @@ class JobStore:
 
     def complete(self, job_id: int, result: Any = None) -> JobRecord:
         """``leased → done`` with a JSON-safe result payload."""
-        with self._write("complete") as conn:
-            self._transition_locked(
-                conn, job_id, DONE, expect=LEASED,
-                sets=", result = ?, lease_owner = NULL, lease_expires_s = NULL",
-                params=(_canonical_json(result),),
-            )
-        telemetry.inc("pipeline.jobs.completed")
+        self.complete_many([(job_id, result)])
         return self.get(job_id)
+
+    def complete_many(self, pairs: Sequence[tuple[int, Any]]) -> None:
+        """``leased → done`` for every ``(job_id, result)`` pair, in one
+        transaction.
+
+        The ``pipeline.store`` site fires once per row (keyed
+        ``complete``) before COMMIT, so fault indices count completions
+        exactly as one-row commits would; a crash or an illegal
+        transition at any row rolls back the whole batch.
+        """
+        if not pairs:
+            return
+        with self._write("complete", fire=False) as conn:
+            for job_id, result in pairs:
+                self._transition_locked(
+                    conn, job_id, DONE, expect=LEASED,
+                    sets=", result = ?, lease_owner = NULL, "
+                         "lease_expires_s = NULL",
+                    params=(_canonical_json(result),),
+                )
+                faults.fire("pipeline.store", key="complete", op="complete")
+        telemetry.inc("pipeline.jobs.completed", len(pairs))
 
     def fail(
         self, job_id: int, error: str, retry: bool = False

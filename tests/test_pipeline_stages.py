@@ -61,10 +61,8 @@ def test_staleness_aging_overtakes_a_higher_prior(tmp_path):
         old, _ = aged.enqueue("r", "s", {"index": 0}, expected_score=1.0)
         now[0] += 500.0
         fresh, _ = aged.enqueue("r", "s", {"index": 1}, expected_score=5.0)
-        policy = RankingPolicy(seed=0, clock=lambda: now[0],
-                               weights=RankWeights(expected_score=1.0,
-                                                   staleness_per_s=0.02,
-                                                   exploration=0.0))
+        policy = RankingPolicy(seed=0, weights=RankWeights(
+            expected_score=1.0, staleness_per_s=0.02, exploration=0.0))
         ranked = policy.rank([fresh, old])
         # 1.0 + 0.02*500 = 11 beats 5.0: the old job cannot starve.
         assert ranked[0].job_id == old.job_id
@@ -79,8 +77,8 @@ def test_rank_is_a_total_order_under_ties(store):
     jobs = [record for record, _created in records]
     policy = RankingPolicy(seed=3, weights=RankWeights(
         expected_score=1.0, staleness_per_s=0.0, exploration=0.0))
-    once = [job.job_id for job in policy.rank(jobs, now=0.0)]
-    again = [job.job_id for job in policy.rank(list(reversed(jobs)), now=0.0)]
+    once = [job.job_id for job in policy.rank(jobs)]
+    again = [job.job_id for job in policy.rank(list(reversed(jobs)))]
     assert once == again                              # key breaks the tie
 
 
