@@ -26,7 +26,9 @@ objective is built from per-team terms (mean ability, solo-woman flag,
 friend pairs together), so the swap search evaluates each candidate by
 recomputing only the two teams the swap touches and combining them with
 the cached terms of the rest — the same floats, hence the same decisions,
-as recomputing the whole objective.
+as recomputing the whole objective.  Most candidates never get that far:
+an O(1) estimate from running aggregates, less a margin far above its
+rounding error, skips those that cannot improve (:class:`_SwapFilter`).
 """
 
 from __future__ import annotations
@@ -150,15 +152,144 @@ def _snake_draft(students: Sequence[Student], sizes: list[int]) -> list[list[Stu
     return teams
 
 
+class _SwapFilter:
+    """Running aggregates of an assignment, for O(1) swap estimates.
+
+    Holds the grand mean ``G`` of the team means, their sum of squared
+    deviations ``S = sum((m - G)**2)``, each team's female count, the
+    solo-woman and friend-pair totals, and, per team, how many friends
+    each student has in it.  :meth:`estimate` scores the swap of student
+    ``x`` (team ``a``) with ``y`` (team ``b``) from these alone:
+
+    - ``m_a' = m_a + d/n_a`` and ``m_b' = m_b - d/n_b``, where ``d`` is
+      ``ability[y] - ability[x]``, so ``G' = G + (d/n_a - d/n_b)/T``;
+    - ``sum((m' - G')**2) = sum((m' - G)**2) - T*(G' - G)**2`` (the
+      shifted-sum identity), with ``sum((m' - G)**2)`` equal to ``S``
+      less the two old terms plus the two new ones;
+    - the solo flags from the two new female counts, and the friend
+      pairs from the per-team friend counts, both exact integers.
+
+    The estimate differs from :func:`_score` of the swapped assignment
+    only by float rounding.  Every float involved is bounded by a small
+    multiple of ``M = max|ability|`` (means, deviations) or ``M**2``
+    (squares), so with unit roundoff ``u = 2**-53``, ``n`` the largest
+    team and ``T`` the team count, forward error analysis gives
+    ``|estimate - exact| <= 16*(n + T + 3)*u*w_a*M**2 + 8*u*score``
+    (the first part from the summed means, deviations and squares on
+    both sides, the second from the final weighted sum; the solo and
+    friend terms are the same integers on both sides).  :meth:`margin`
+    is ``1e-9*(|estimate| + (n + T)*w_a*M**2)``: above that bound by a
+    factor of at least 10**5 at any scale of the abilities, since both
+    sides scale with ``M**2`` and with the score.  After every accepted
+    swap (:meth:`refresh`) the float aggregates are recomputed from the
+    exact terms, so errors never accumulate, and the integer counts are
+    updated for the two students who moved.
+    """
+
+    def __init__(
+        self,
+        rosters: list[list[int]],
+        terms: list[tuple[float, int, int]],
+        ability: Sequence[float],
+        female: Sequence[int],
+        ident: Sequence[str],
+        criteria: FormationCriteria,
+    ) -> None:
+        self.terms = terms
+        self.ability = ability
+        self.female = female
+        self.criteria = criteria
+        # partners[k]: the students k must not share a team with.
+        position = {sid: k for k, sid in enumerate(ident)}
+        partners: list[set[int]] = [set() for _ in ident]
+        for pair in criteria.friend_pairs:
+            p, q = sorted(pair)
+            if p in position and q in position:
+                partners[position[p]].add(position[q])
+                partners[position[q]].add(position[p])
+        self.partners = partners
+        self.sizes = [len(r) for r in rosters]
+        self.n_teams = len(rosters)
+        top = max([abs(v) for v in ability])
+        self.scale = (
+            (max(self.sizes) + self.n_teams) * criteria.ability_weight * top * top
+        )
+        self.n_female = [sum([female[k] for k in r]) for r in rosters]
+        self.friends_in = [[len(p.intersection(r)) for p in partners] for r in rosters]
+        self._total()
+
+    def _total(self) -> None:
+        means = [mean for mean, _, _ in self.terms]
+        self.grand = sum(means) / self.n_teams
+        self.spread = sum([(m - self.grand) ** 2 for m in means])
+        self.solo = sum([flag for _, flag, _ in self.terms])
+        self.friends = sum([count for _, _, count in self.terms])
+
+    def refresh(self, a: int, b: int, x: int, y: int) -> None:
+        """Update the aggregates after ``x`` moved from team a to b and
+        ``y`` from b to a (the terms already hold both teams' new ones)."""
+        moved = self.female[y] - self.female[x]
+        self.n_female[a] += moved
+        self.n_female[b] -= moved
+        in_a, in_b = self.friends_in[a], self.friends_in[b]
+        for k in self.partners[x]:
+            in_a[k] -= 1
+            in_b[k] += 1
+        for k in self.partners[y]:
+            in_b[k] -= 1
+            in_a[k] += 1
+        self._total()
+
+    def estimate(self, a: int, b: int, x: int, y: int) -> float:
+        """The score after swapping ``x`` (in team a) with ``y`` (in b)."""
+        terms = self.terms
+        d = self.ability[y] - self.ability[x]
+        da = d / self.sizes[a]
+        db = d / self.sizes[b]
+        shift = (da - db) / self.n_teams
+        ea = terms[a][0] - self.grand
+        eb = terms[b][0] - self.grand
+        spread = (
+            self.spread - ea * ea - eb * eb
+            + (ea + da) ** 2 + (eb - db) ** 2
+            - self.n_teams * shift * shift
+        )
+        moved = self.female[y] - self.female[x]
+        solo = (
+            self.solo - terms[a][1] - terms[b][1]
+            + (self.n_female[a] + moved == 1) + (self.n_female[b] - moved == 1)
+        )
+        together = 2 if y in self.partners[x] else 0
+        in_a, in_b = self.friends_in[a], self.friends_in[b]
+        friends = self.friends - in_a[x] - in_b[y] + in_a[y] + in_b[x] - together
+        criteria = self.criteria
+        return (
+            criteria.ability_weight * (spread / self.n_teams)
+            + criteria.solo_female_penalty * solo
+            + 10.0 * friends
+        )
+
+    def margin(self, estimate: float) -> float:
+        """A bound on ``|estimate - exact|`` with orders of magnitude spare."""
+        return 1e-9 * (abs(estimate) + self.scale)
+
+
 def _improve(
     teams: list[list[Student]], criteria: FormationCriteria
 ) -> list[list[Student]]:
     """First-improvement local search over cross-team pairwise swaps.
 
     Teams are rosters of indices into ``students``, whose ability and
-    gender are read once.  A swap changes only teams ``a`` and ``b``, so
-    only their terms are recomputed (summing in member order, as
-    :func:`_objective` does); the others stay cached.
+    gender are read once.  Each candidate swap is first estimated in
+    O(1) by a :class:`_SwapFilter`; when the estimate, less its error
+    margin, cannot beat ``best - 1e-12``, the exact score cannot either,
+    so the candidate is skipped.  Every other candidate takes the exact
+    path: a swap changes only teams ``a`` and ``b``, so only their terms
+    are recomputed (summing in member order, as :func:`_objective`
+    does), the others stay cached, and the decision is taken on the
+    exact score.  The filter only ever skips candidates the exact path
+    would reject, so ``best``, every accept decision and the rosters are
+    those of evaluating every candidate exactly.
     """
     students = [s for t in teams for s in t]
     ability = [s.ability_index for s in students]
@@ -177,6 +308,8 @@ def _improve(
 
     terms = [team_terms(r) for r in rosters]
     best = _score(terms, criteria)
+    swaps = _SwapFilter(rosters, terms, ability, female, ident, criteria)
+    estimate, margin = swaps.estimate, swaps.margin
     for _ in range(criteria.max_swap_rounds):
         improved = False
         for a in range(len(rosters)):
@@ -185,6 +318,9 @@ def _improve(
                 team_b = rosters[b]
                 for i in range(len(team_a)):
                     for j in range(len(team_b)):
+                        approx = estimate(a, b, team_a[i], team_b[j])
+                        if approx - margin(approx) >= best - 1e-12:
+                            continue
                         team_a[i], team_b[j] = team_b[j], team_a[i]
                         kept = terms[a], terms[b]
                         terms[a], terms[b] = team_terms(team_a), team_terms(team_b)
@@ -192,6 +328,7 @@ def _improve(
                         if candidate < best - 1e-12:
                             best = candidate
                             improved = True
+                            swaps.refresh(a, b, team_b[j], team_a[i])
                         else:
                             team_a[i], team_b[j] = team_b[j], team_a[i]
                             terms[a], terms[b] = kept

@@ -37,6 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Sequence
@@ -187,12 +188,37 @@ def _worker_main(conn, worker_index: int) -> None:
 
 
 class _PoolWorker:
-    __slots__ = ("process", "conn", "lock")
+    """One child and its pipe.  ``seq`` numbers the calls sent on this
+    slot (by :meth:`ProcessPool.run` and :meth:`ProcessPool.scatter`
+    alike); it only grows, so a reply whose seq is below the one awaited
+    belongs to a call that already timed out."""
+
+    __slots__ = ("process", "conn", "lock", "seq")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.lock = threading.Lock()
+        self.seq = 0
+
+    def send(self, call: Call) -> int:
+        """Ship ``call`` under the next seq (caller holds the lock)."""
+        self.seq += 1
+        self.conn.send((self.seq, call))
+        return self.seq
+
+    def receive(self, seq: int, budget: float, index: int) -> tuple[bool, Any]:
+        """``(ok, payload)`` of the reply to ``seq``, waiting at most
+        ``budget`` seconds; late replies to earlier calls are dropped."""
+        deadline = time.monotonic() + budget
+        while True:
+            if not self.conn.poll(max(0.0, deadline - time.monotonic())):
+                raise ProcPoolError(
+                    f"pool worker {index} timed out after {budget:.1f}s"
+                )
+            got, ok, payload = self.conn.recv()
+            if got == seq:
+                return ok, payload
 
 
 class ProcessPool:
@@ -235,13 +261,10 @@ class ProcessPool:
         try:
             with slot.lock:
                 try:
-                    slot.conn.send((0, shipped))
-                    if not slot.conn.poll(budget):
-                        raise ProcPoolError(
-                            f"pool worker {worker % self.n_workers} timed out "
-                            f"after {budget:.1f}s on {call!r}"
-                        )
-                    _seq, ok, payload = slot.conn.recv()
+                    ok, payload = slot.receive(slot.send(shipped), budget,
+                                               worker % self.n_workers)
+                except ProcPoolError as exc:
+                    raise ProcPoolError(f"{exc} on {call!r}") from None
                 except (EOFError, BrokenPipeError, OSError) as exc:
                     raise ProcPoolError(
                         f"pool worker {worker % self.n_workers} died "
@@ -260,36 +283,30 @@ class ProcessPool:
         """Run ``calls[i]`` on worker ``i % size`` concurrently; ordered results.
 
         All sends go out before any receive, so every child computes in
-        parallel; per-worker pipes are FIFO, so replies pair up by
-        position.  The first failure is re-raised after all replies (and
-        segments) are accounted for.
+        parallel; replies pair up with their calls by seq.  The first
+        failure is re-raised after all replies (and segments) are
+        accounted for.
         """
         if self._closed:
             raise ProcPoolError("pool is closed")
         budget = self.timeout_s if timeout is None else float(timeout)
-        per_worker: list[list[int]] = [[] for _ in self._workers]
-        for i in range(len(calls)):
-            per_worker[i % self.n_workers].append(i)
         all_segments: list[shared_memory.SharedMemory] = []
         results: list[Any] = [None] * len(calls)
         failure: BaseException | None = None
         for slot in self._workers:
             slot.lock.acquire()
         try:
+            sent: list[list[tuple[int, int]]] = [[] for _ in self._workers]
             for w, slot in enumerate(self._workers):
-                for i in per_worker[w]:
+                for i in range(w, len(calls), self.n_workers):
                     shipped, segments = export_call(calls[i])
                     all_segments.extend(segments)
-                    slot.conn.send((i, shipped))
+                    sent[w].append((i, slot.send(shipped)))
             for w, slot in enumerate(self._workers):
-                for i in per_worker[w]:
-                    if not slot.conn.poll(budget):
-                        raise ProcPoolError(
-                            f"pool worker {w} timed out after {budget:.1f}s"
-                        )
-                    seq, ok, payload = slot.conn.recv()
+                for i, seq in sent[w]:
+                    ok, payload = slot.receive(seq, budget, w)
                     if ok:
-                        results[seq] = payload
+                        results[i] = payload
                     elif failure is None:
                         failure = (payload if isinstance(payload, BaseException)
                                    else ProcPoolError(str(payload)))

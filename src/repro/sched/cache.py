@@ -37,9 +37,15 @@ __all__ = ["canonical_repr", "fingerprint", "ResultCache"]
 
 _MISSING = object()
 
+#: Exact types whose repr is already canonical.  Checked by identity
+#: first, so the common key part skips the ``Mapping`` ABC check.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def canonical_repr(obj: Any) -> str:
     """A repr that is independent of dict/set iteration order."""
+    if type(obj) in _SCALARS:
+        return repr(obj)
     if isinstance(obj, Mapping):
         items = sorted(
             (canonical_repr(k), canonical_repr(v)) for k, v in obj.items()

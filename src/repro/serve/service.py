@@ -91,10 +91,15 @@ class Job:
     follow_ups: list[str] = field(default_factory=list)  # on_complete job ids
 
     def _transition(self, state: str, **extra: Any) -> None:
+        terminal = state in TERMINAL_STATES
+        if terminal:
+            # Before the state: a reader on another thread (``describe``
+            # for ``GET /jobs/<id>``) that sees a terminal state must also
+            # see its finish time.
+            self.finished_s = time.time()
         self.state = state
         self.events.emit("state", state=state, **extra)
-        if state in TERMINAL_STATES:
-            self.finished_s = time.time()
+        if terminal:
             self.events.close()
 
     def describe(self) -> dict[str, Any]:

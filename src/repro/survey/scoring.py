@@ -107,8 +107,9 @@ def cohort_scores(wave: WaveResponses, category: Category) -> CohortScores:
         name: tuple(element_score(r, name, category) for r in ordered)
         for name in element_names
     }
+    composites = [composite_scores(r, category) for r in ordered]
     composite_means = {
-        name: mean([composite_scores(r, category)[name] for r in ordered])
+        name: mean([scores[name] for scores in composites])
         for name in element_names
     }
     return CohortScores(

@@ -1,5 +1,8 @@
 """Cohort: students, sections, team formation, coordinators, peer ratings."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,14 @@ from repro.cohort import (
     random_teams,
     rotate_coordinators,
 )
-from repro.cohort.formation import _objective, _snake_draft, team_sizes
+from repro.cohort.formation import (
+    _objective,
+    _score,
+    _snake_draft,
+    _SwapFilter,
+    _team_terms,
+    team_sizes,
+)
 
 
 class TestStudents:
@@ -261,6 +271,103 @@ class TestFormationOracle:
             [list(t.members) for t in form_teams(students, 13, criteria)],
         ):
             assert _objective(teams, criteria) == _reference_objective(_rows(teams), criteria)
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _Rated(Student):
+    """A student whose ability index is given outright."""
+
+    ability: float = 0.0
+
+    @property
+    def ability_index(self) -> float:
+        return self.ability
+
+
+def _rated(students, ability=lambda v: v, gender=None):
+    """``students`` as :class:`_Rated`, abilities mapped by ``ability``,
+    all of one ``gender`` if given."""
+    out = []
+    for s in students:
+        fields = {f.name: getattr(s, f.name) for f in dataclasses.fields(Student)}
+        if gender is not None:
+            fields["gender"] = gender
+        out.append(_Rated(**fields, ability=ability(s.ability_index)))
+    return out
+
+
+#: (section transform, criteria weights) that stress the swap filter:
+#: ties, zero spread, extreme scales, zeroed weights and a single gender.
+ADVERSARIAL = {
+    "duplicated": (dict(ability=lambda v: round(v * 4) / 4), {}),
+    "all_equal": (dict(ability=lambda v: 0.5), {}),
+    "scaled_1e6": (dict(ability=lambda v: v * 1e6), {}),
+    "scaled_1e-6": (dict(ability=lambda v: v * 1e-6), {}),
+    "no_ability_weight": ({}, {"ability_weight": 0.0}),
+    "no_solo_penalty": ({}, {"solo_female_penalty": 0.0}),
+    "all_female": (dict(gender=Gender.FEMALE), {}),
+    "all_male": (dict(gender=Gender.MALE), {}),
+}
+
+
+class TestSwapFilter:
+    @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
+    def test_adversarial_sections_match_full_recompute(self, kind):
+        section, weights = ADVERSARIAL[kind]
+        students = _rated(make_paper_sections(5)[1].students, **section)
+        friends = _friend_criteria(students, 13).friend_pairs
+        for pairs in (frozenset(), friends):
+            criteria = FormationCriteria(friend_pairs=pairs, **weights)
+            formed = [
+                tuple(m.student_id for m in t.members)
+                for t in form_teams(students, 13, criteria)
+            ]
+            assert formed == _reference_form_teams(students, 13, criteria)
+
+    @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
+    def test_estimate_error_far_below_margin(self, kind):
+        """A random walk of swaps, some kept: every estimate is within a
+        thousandth of its margin of the exact score of the swapped state."""
+        rng = random.Random(kind)
+        section, weights = ADVERSARIAL[kind]
+        students = _rated(make_paper_sections(11)[0].students, **section)
+        ids = [s.student_id for s in students]
+        pairs = {frozenset(rng.sample(ids, 2)) for _ in range(40)}
+        criteria = FormationCriteria(friend_pairs=frozenset(pairs), **weights)
+        ability = [s.ability_index for s in students]
+        female = [1 if s.gender is Gender.FEMALE else 0 for s in students]
+        order = list(range(len(students)))
+        rng.shuffle(order)
+        rosters, start = [], 0
+        for size in team_sizes(len(students), 13):
+            rosters.append(order[start:start + size])
+            start += size
+
+        def terms_of(roster):
+            return _team_terms([ability[k] for k in roster],
+                               sum(female[k] for k in roster),
+                               {ids[k] for k in roster}, criteria)
+
+        terms = [terms_of(r) for r in rosters]
+        swaps = _SwapFilter(rosters, terms, ability, female, ids, criteria)
+        kept = 0
+        for _ in range(600):
+            a, b = sorted(rng.sample(range(len(rosters)), 2))
+            i, j = rng.randrange(len(rosters[a])), rng.randrange(len(rosters[b]))
+            x, y = rosters[a][i], rosters[b][j]
+            approx = swaps.estimate(a, b, x, y)
+            rosters[a][i], rosters[b][j] = y, x
+            old = terms[a], terms[b]
+            terms[a], terms[b] = terms_of(rosters[a]), terms_of(rosters[b])
+            exact = _score(terms, criteria)
+            assert abs(approx - exact) <= swaps.margin(approx) / 1e3, (approx, exact)
+            if rng.random() < 0.3:
+                swaps.refresh(a, b, x, y)
+                kept += 1
+            else:
+                rosters[a][i], rosters[b][j] = x, y
+                terms[a], terms[b] = old
+        assert kept > 100
 
 
 class TestTeams:

@@ -1,8 +1,9 @@
 """Golden digests of the byte-identity anchors.
 
-Each row pins the sha256 of one anchor's standard output, so a change
-that moves the output passes only if it also changes the digest here —
-and says in CHANGES.md which digest changed and why.  Run in-process.
+Each row pins the sha256 of one anchor's standard output, or one
+content-addressed cache key, so a change that moves the output passes
+only if it also changes the digest here — and says in CHANGES.md which
+digest changed and why.  Run in-process.
 """
 
 from __future__ import annotations
@@ -11,12 +12,20 @@ import hashlib
 
 import pytest
 
+from repro import workloads
 from repro.cli import main
+from repro.pipeline.store import job_key
+from repro.pipeline.workloads import named_pipeline
+from repro.sched.cache import fingerprint
 
 #: (anchor, CLI arguments, sha256 of its standard output).
 ANCHORS = [
     ("chaos pipeline --seed 7", ["chaos", "pipeline", "--seed", "7"],
      "829ff35f34035455002f5241ef2f94ad8ebd99ac42d8117aa7c95c7cb3196ab6"),
+    ("study", ["study"],
+     "47cc267add45cf7802056dc9c2e5ae323856dec76ea1be491a88df4bf7ca962c"),
+    ("reproduce --artifact all", ["reproduce", "--artifact", "all"],
+     "721030cbecc750734ec425ef7092c5946c1e2d2d69ecec4f62ef5b4d2de7f0ed"),
 ]
 
 
@@ -27,3 +36,65 @@ def test_anchor_output_matches_its_golden_digest(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
+def _serve_key(mode, workload, params):
+    """The result-cache key ``repro serve`` gives a job spec."""
+    entry = workloads.get(workload)
+    return fingerprint("serve", mode, entry.name,
+                       workloads.validate_params(mode, params))
+
+
+#: (name, how the program computes the key, its pinned value) for jobs
+#: the service, the sched cache and the pipeline store key.  A change to
+#: ``canonical_repr`` or to the key parts that moves one of these
+#: invalidates every cache directory and pipeline store already on disk.
+CACHE_KEYS = [
+    ("serve sched mapreduce",
+     lambda: _serve_key("sched", "mapreduce", {"workers": 4, "seed": 7}),
+     "43dbed6701a21e77b6b772d5951512f16be8042353aaca3c4a201b351a911edd"),
+    ("serve sched drugdesign threaded",
+     lambda: _serve_key("sched", "drugdesign", {"seed": 7, "mode": "threaded"}),
+     "48cb5aa2bc2320a79c8f2c25ef352681871ba9fae082fd4e778b7ea8fdcc6379"),
+    ("serve sched stencil_sched mp",
+     lambda: _serve_key("sched", "stencil_sched",
+                        {"workers": 2, "seed": 3, "mode": "mp"}),
+     "39e2da80c61e761d166ca027ad3e3b114a06c5c78b440822a0224564c8782776"),
+    ("serve sched openmp speculate",
+     lambda: _serve_key("sched", "openmp", {"seed": 0, "speculate": 1}),
+     "7384a465be5e0e3c96f1edef21630d0a49feebb04065109e695004e82b6434b7"),
+    ("serve trace mapreduce",
+     lambda: _serve_key("trace", "mapreduce", {"threads": 4}),
+     "d8273ab3c6fa67dea4c33e0af439df3253ecf3f6864d30b3cad797cc055956cc"),
+    ("serve chaos drugdesign",
+     lambda: _serve_key("chaos", "drugdesign", {"seed": 7, "threads": 2}),
+     "54d81e38d26301ef3933f3301492eef72f5a554f8c61be75521ca95b62353257"),
+    ("serve pipeline drugdesign",
+     lambda: _serve_key("pipeline", "drugdesign", {"workers": 2, "seed": 1}),
+     "d9c8d4e0b2d990b09dc357cdff44229345ce0a92a06c1c4127d8f729e2c457c2"),
+    ("sched cache drugdesign threaded",
+     lambda: fingerprint("sched", "drugdesign", 4, 7),
+     "c525cc3e7b48c5309cb646de6d9ef23c121af77f5883c5100621bcc3d975632c"),
+    ("sched cache stencil_sched mp",
+     lambda: fingerprint("sched", "stencil_sched", 4, 7, "mp"),
+     "909e82b561d918bb783eea3bf0bf615c76866e09b6dd9e2a41eb462d7d3eac22"),
+    ("pipeline job key",
+     lambda: job_key("drugdesign-s7-0123456789ab", "score",
+                     {"ligand": "acgt", "protein": "cgta", "weight": 0.5,
+                      "tags": ["a", None, True], "n": 3}),
+     "1389ce445d8dd3b1623383b65e5d39c7ad4720e5260deb4126965a61919f4dc5"),
+    ("pipeline run id",
+     lambda: named_pipeline("drugdesign").default_run_id(7, {"workers": 2}),
+     "drugdesign-s7-de00f27fd2c2"),
+    ("mixed scalar and container parts",
+     lambda: fingerprint("mixed", 1.5, -0.0, True, None, b"x",
+                         frozenset({"b", "a"}), {"k": (1, [2.0, False])}),
+     "bbf6bee287b8a2f9aeec952eee6660feb4185fa128c5417c28f4f9f935b51efd"),
+]
+
+
+@pytest.mark.parametrize("key, digest",
+                         [(key, digest) for _name, key, digest in CACHE_KEYS],
+                         ids=[name for name, _key, _digest in CACHE_KEYS])
+def test_cache_key_matches_its_golden_digest(key, digest):
+    assert key() == digest

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_pool_ships_large_arrays_via_shared_memory():
     assert none == [] and same.args[0] is small   # below threshold: pickled
     with procpool.ProcessPool(2) as pool:
         assert pool.run(0, Call(_total, big)) == float(big.sum())
+
+
+def test_pool_drops_a_timed_out_calls_late_reply():
+    with procpool.ProcessPool(1) as pool:
+        with pytest.raises(procpool.ProcPoolError, match="timed out"):
+            pool.run(0, Call(time.sleep, 0.5), timeout=0.1)
+        # The sleep's reply (None) arrives while this call waits; it
+        # belongs to the timed-out call and must not be taken as this one's.
+        assert pool.run(0, Call(_add, 1, 1)) == 2
+        assert pool.run(0, Call(_add, 2, 2)) == 4
+
+
+def test_scatter_drops_a_timed_out_calls_late_reply():
+    with procpool.ProcessPool(2) as pool:
+        with pytest.raises(procpool.ProcPoolError, match="timed out"):
+            pool.run(1, Call(time.sleep, 0.5), timeout=0.1)
+        assert pool.scatter([Call(_add, i, 10) for i in range(4)]) == [10, 11, 12, 13]
+        with pytest.raises(procpool.ProcPoolError, match="timed out"):
+            pool.scatter([Call(_add, 0, 0), Call(time.sleep, 0.5)], timeout=0.1)
+        assert pool.run(1, Call(_add, 3, 3)) == 6
 
 
 def test_pool_rejects_use_after_close():

@@ -21,6 +21,7 @@ from repro.faults.policies import CircuitBreaker, CircuitOpenError
 from repro.sched.core import BackpressureError
 from repro.serve import BackgroundServer, EventLog, JobService
 from repro.serve.http import render_metrics_text
+from repro.serve.service import Job
 from repro.workloads import WorkloadModeError
 
 _SPEC = {"mode": "sched", "workload": "mapreduce",
@@ -91,6 +92,19 @@ def test_event_log_cursor_reads_and_wait():
 
 
 # -- the service core ---------------------------------------------------------
+
+
+def test_a_terminal_state_is_never_seen_without_its_finish_time():
+    # ``describe`` on another thread (GET /jobs/<id>) may run between any
+    # two of the transition's writes; the state's own event is one such point.
+    job = Job(job_id="j1", mode="sched", workload="mapreduce", params={},
+              priority=0, key="k")
+    seen = []
+    job.events.emit = lambda kind, **data: seen.append(job.describe())
+    for state in ("running", "done"):
+        job._transition(state)
+    assert [(v["state"], v["finished_s"] is None) for v in seen] == [
+        ("running", True), ("done", False)]
 
 
 def test_submit_runs_job_to_done(make_service):
