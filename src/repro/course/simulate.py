@@ -49,6 +49,13 @@ class SimulatedGradebook:
         return sum(totals) / len(totals)
 
 
+#: Ratings a cooperating member receives, with the CDF ``rng.choice``
+#: builds from their probabilities 0.3, 0.5 and 0.2.
+_COOPERATIVE = ("excellent", "very good", "satisfactory")
+_COOPERATIVE_CDF = np.array([0.3, 0.5, 0.2]).cumsum()
+_COOPERATIVE_CDF /= _COOPERATIVE_CDF[-1]
+
+
 def _clip_score(value: float) -> float:
     return float(min(100.0, max(0.0, value)))
 
@@ -66,6 +73,8 @@ def simulate_gradebook(
     """
     if not teams:
         raise ValueError("need at least one team")
+    if n_offenders < 0:
+        raise ValueError(f"n_offenders must be >= 0, got {n_offenders}")
     rng = np.random.default_rng(seed + 1)
 
     all_students = [m for team in teams for m in team.members]
@@ -88,29 +97,34 @@ def simulate_gradebook(
     for team in teams:
         member_ids = [m.student_id for m in team.members]
         team_scores = [
-            _clip_score(team_quality[team.team_id] + rng.normal(0.0, 3.0))
-            for _ in range(N_ASSIGNMENTS)
+            _clip_score(team_quality[team.team_id] + noise)
+            for noise in rng.normal(0.0, 3.0, size=N_ASSIGNMENTS)
         ]
-        # Peer ratings per assignment.
+        # Peer ratings per assignment, in form order.  A rating of an
+        # offender from assignment 2 on is "no show" and draws nothing;
+        # every other rating takes one uniform from a single block, mapped
+        # as ``rng.choice(_COOPERATIVE, p=...)`` maps its own draw.
+        pairs = [(rater, ratee) for rater in member_ids
+                 for ratee in member_ids if rater != ratee]
+        offending = [
+            [ratee in offender_ids and assignment_number >= 2
+             for _rater, ratee in pairs]
+            for assignment_number in range(1, N_ASSIGNMENTS + 1)
+        ]
+        n_draws = sum(row.count(False) for row in offending)
+        picks = iter(_COOPERATIVE_CDF.searchsorted(rng.random(n_draws),
+                                                   side="right").tolist())
         per_member_rating: dict[str, list[float]] = {m: [] for m in member_ids}
-        for assignment_number in range(1, N_ASSIGNMENTS + 1):
-            ratings = []
-            for rater in member_ids:
-                for ratee in member_ids:
-                    if rater == ratee:
-                        continue
-                    offending = (
-                        ratee in offender_ids and assignment_number >= 2
-                    )
-                    adjective = "no show" if offending else rng.choice(
-                        ["excellent", "very good", "satisfactory"],
-                        p=[0.3, 0.5, 0.2],
-                    )
-                    ratings.append(PeerRating(rater, ratee, str(adjective)))
+        for assignment_number, row in enumerate(offending, start=1):
+            ratings = tuple(
+                PeerRating(rater, ratee,
+                           "no show" if off else _COOPERATIVE[next(picks)])
+                for (rater, ratee), off in zip(pairs, row)
+            )
             form = PeerRatingForm(
                 team_id=team.team_id,
                 assignment_number=assignment_number,
-                ratings=tuple(ratings),
+                ratings=ratings,
             )
             form.validate_against(team)
             forms.append(form)
@@ -132,8 +146,9 @@ def simulate_gradebook(
                 for a in range(N_ASSIGNMENTS)
             )
             quiz_scores = tuple(
-                _clip_score(rng.normal(55.0 + 45.0 * ability, 8.0))
-                for _ in range(N_ASSIGNMENTS)
+                _clip_score(score)
+                for score in rng.normal(55.0 + 45.0 * ability, 8.0,
+                                        size=N_ASSIGNMENTS)
             )
             record = StudentRecord(
                 student_id=member.student_id,

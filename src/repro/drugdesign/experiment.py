@@ -19,6 +19,7 @@ the paper's qualitative result: the parallel versions win, and more work
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 from dataclasses import dataclass, field
@@ -98,8 +99,13 @@ class Assignment5Report:
         return "\n".join(lines)
 
 
+@functools.cache
 def _loc(fn: Callable) -> int:
-    """Source lines of a solver — the assignment's program-size metric."""
+    """Source lines of a solver — the assignment's program-size metric.
+
+    Cached per function: a solver's source cannot change in-process, and
+    reading and splitting it costs about a millisecond.
+    """
     source = inspect.getsource(fn)
     return sum(1 for line in source.splitlines() if line.strip() and not line.strip().startswith("#"))
 

@@ -104,8 +104,11 @@ def calibrate(
 
     rounds = 0
     errors = (np.inf, np.inf, np.inf)
+    # The knobs do not change between one round's final check and the
+    # next round's first step, so that step reuses the check's statistics.
+    final = model.observed(current)
     for rounds in range(1, MAX_ROUNDS + 1):
-        obs = model.observed(current)
+        obs = final
 
         # 1. SDs: the overall SD scales with the student-share; update
         #    alpha via the variance decomposition, clamped to [0, 0.98].
@@ -135,12 +138,15 @@ def calibrate(
         #    discretised mean tracks the latent mean with slope ~1
         #    mid-scale but flattens near the Likert ceiling, so estimate
         #    the local slope from the previous inner step.
+        #    A loop that stops early leaves ``mu`` as its last step saw it,
+        #    so that step's statistics are the round's final ones.
         prev_mu: np.ndarray | None = None
         prev_mean: np.ndarray | None = None
         for _ in range(8):
             obs3 = model.observed(current)
             mean_err = obs3["skill_mean"] - target_mean
             if float(np.abs(mean_err).max()) <= MEAN_TOL / 2.0:
+                final = obs3
                 break
             slope = np.ones_like(mean_err)
             if prev_mu is not None:
@@ -152,8 +158,9 @@ def calibrate(
             prev_mu = current.mu.copy()
             prev_mean = obs3["skill_mean"].copy()
             current.mu = current.mu - mean_err / slope
+        else:
+            final = model.observed(current)
 
-        final = model.observed(current)
         errors = (
             float(np.abs(final["skill_mean"] - target_mean).max()),
             float(np.abs(final["overall_sd"] - target_sd).max()),

@@ -339,7 +339,11 @@ class ResponseModel:
 
         Returns ``skill_mean`` (K, C, W), ``overall_sd`` (C, W) and
         ``pearson_r`` (K, W) computed from a fresh generation with the
-        fixed underlying draws.
+        fixed underlying draws.  ``pearson_r`` is one batched pass of
+        :func:`_pearson_pairs` over all K·W emphasis/growth pairs, equal
+        bit for bit to ``np.corrcoef(e, g)[0, 1]`` per pair; calibration
+        branches on these floats, so the calibration digests in
+        ``tests/test_golden_digests.py`` pin them.
         """
         derived = derived_scores(self.generate(knobs).scores)
         skill = derived.skill                           # (N, K, C, W)
@@ -348,11 +352,31 @@ class ResponseModel:
         # cohort-mean *composite* scores.
         skill_mean = derived.composite.mean(axis=0)     # (K, C, W)
         overall_sd = overall.std(axis=0, ddof=1)        # (C, W)
-        k = len(self.skills)
-        r = np.empty((k, 2))
-        for ki in range(k):
-            for wi in range(2):
-                e = skill[:, ki, 0, wi]
-                g = skill[:, ki, 1, wi]
-                r[ki, wi] = np.corrcoef(e, g)[0, 1]
+        n, k = skill.shape[:2]
+        pairs = np.ascontiguousarray(skill.transpose(1, 3, 2, 0))  # (K, W, C, N)
+        r = _pearson_pairs(pairs.reshape(k * 2, 2, n)).reshape(k, 2)
         return {"skill_mean": skill_mean, "overall_sd": overall_sd, "pearson_r": r}
+
+
+def _pearson_pairs(x: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair of a contiguous (B, 2, N) float stack.
+
+    Returns ``r[b] == np.corrcoef(x[b, 0], x[b, 1])[0, 1]`` bit for bit,
+    NaN where a row is constant, by taking ``np.corrcoef``'s own steps
+    in its own order on the whole stack: the row means, centring,
+    ``np.matmul`` of each matrix with its transpose (the syrk path
+    ``np.dot`` takes), ``*= 1/(N-1)``, division by the standard
+    deviations on rows and then on columns, and the clip to [-1, 1].
+    Any other order or reduction moves the last bits, and calibration
+    branches on them; change it only against the calibration digests.
+    Centres ``x`` in place.
+    """
+    n = x.shape[-1]
+    x -= x.mean(axis=-1)[..., None]
+    c = np.matmul(x, x.transpose(0, 2, 1))          # (B, 2, 2)
+    c *= np.true_divide(1, n - 1)
+    stddev = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+    c /= stddev[:, :, None]
+    c /= stddev[:, None, :]
+    np.clip(c, -1, 1, out=c)
+    return c[:, 0, 1]

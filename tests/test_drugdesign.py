@@ -1,5 +1,7 @@
 """The drug-design exemplar: scoring, the three solvers, the A5 protocol."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,3 +168,16 @@ class TestAssignment5Protocol:
         text = run_assignment5(DrugDesignConfig(n_ligands=30)).render()
         assert "fastest (simulated)" in text
         assert "LoC" in text
+
+    def test_loc_lines_unchanged_by_caching(self):
+        """``_loc`` is cached per solver; the report's ``LoC=`` lines keep
+        the counts a fresh read of each solver's source gives."""
+        from repro.drugdesign.experiment import _loc
+        for _ in range(2):
+            text = run_assignment5(DrugDesignConfig(n_ligands=12)).render()
+            assert re.findall(r"^  (\w+) .*LoC=(\d+)$", text, re.M) == [
+                ("sequential", "14"), ("openmp", "34"), ("cxx11_threads", "41"),
+            ]
+        for fn in (solve_sequential, solve_openmp, solve_cxx11_threads):
+            assert _loc(fn) == _loc.__wrapped__(fn)
+        assert _loc.cache_info().hits >= 3

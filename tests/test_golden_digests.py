@@ -1,9 +1,9 @@
 """Golden digests of the byte-identity anchors.
 
 Each row pins the sha256 of one anchor's standard output, or one
-content-addressed cache key, so a change that moves the output passes
-only if it also changes the digest here — and says in CHANGES.md which
-digest changed and why.  Run in-process.
+content-addressed cache key, or one numeric phase's result, so a change
+that moves the output passes only if it also changes the digest here —
+and says in CHANGES.md which digest changed and why.  Run in-process.
 """
 
 from __future__ import annotations
@@ -14,9 +14,14 @@ import pytest
 
 from repro import workloads
 from repro.cli import main
+from repro.cohort.sections import make_paper_sections
+from repro.core.study import PBLStudy
+from repro.core.targets import PAPER, simulation_targets
+from repro.course.simulate import simulate_gradebook
 from repro.pipeline.store import job_key
 from repro.pipeline.workloads import named_pipeline
 from repro.sched.cache import fingerprint
+from repro.simulation import ResponseModel, calibrate
 
 #: (anchor, CLI arguments, sha256 of its standard output).
 ANCHORS = [
@@ -26,6 +31,8 @@ ANCHORS = [
      "47cc267add45cf7802056dc9c2e5ae323856dec76ea1be491a88df4bf7ca962c"),
     ("reproduce --artifact all", ["reproduce", "--artifact", "all"],
      "721030cbecc750734ec425ef7092c5946c1e2d2d69ecec4f62ef5b4d2de7f0ed"),
+    ("study --seed 7919", ["study", "--seed", "7919"],
+     "249f9160329a18eaa71ea55b1c983950929ec9840bc2271daa9a938731ceff4e"),
 ]
 
 
@@ -98,3 +105,51 @@ CACHE_KEYS = [
                          ids=[name for name, _key, _digest in CACHE_KEYS])
 def test_cache_key_matches_its_golden_digest(key, digest):
     assert key() == digest
+
+
+def _calibration_digest(seed):
+    """sha256 of ``calibrate``'s knobs, rounds and errors for one seed."""
+    targets = simulation_targets(PAPER)
+    model = ResponseModel(targets.skills, targets.n_students, seed=seed)
+    result = calibrate(model, targets)
+    knobs = result.knobs
+    h = hashlib.sha256()
+    for array in (knobs.mu, knobs.alpha, knobs.c_q):
+        h.update(array.tobytes())
+    h.update(repr((knobs.rho_p, result.rounds, result.max_mean_error,
+                   result.max_sd_error, result.max_r_error,
+                   result.converged)).encode("utf-8"))
+    return h.hexdigest()
+
+
+#: (seed, sha256 of its calibration).  Calibration branches on every
+#: float ``ResponseModel.observed`` returns, so these rows pin those
+#: floats too.  Seed 2018 converges in 10 rounds; seeds 0 and 7919 stop
+#: at ``MAX_ROUNDS``.
+CALIBRATIONS = [
+    (2018, "dadbe16e7f05f3d292923d122e15ae8f3849c5e96370427d3b2e9899f332adb5"),
+    (0, "ec5f58610aecf8ea77ed8d8a4b41e762e92c398ab77e60404e1912739d9ac7cd"),
+    (7919, "4683a88e67b4a284709b1452b9f864377cd7f3fd0c847445dc8c2d38c7c417bc"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", CALIBRATIONS,
+                         ids=[str(seed) for seed, _digest in CALIBRATIONS])
+def test_calibration_matches_its_golden_digest(seed, digest):
+    assert _calibration_digest(seed) == digest
+
+
+#: (seed, sha256 of ``repr(simulate_gradebook(teams, seed))``) with the
+#: teams the study forms at that seed.
+GRADEBOOKS = [
+    (2018, "f58f93dba4a90d284a7d31a4cd71eb3d4868600acb318a3dda6f838fa9a73282"),
+    (7919, "596d5f169ccfb31037a48e0aa9966e0e2a812136c57b3b37ac43affeca826a6f"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", GRADEBOOKS,
+                         ids=[str(seed) for seed, _digest in GRADEBOOKS])
+def test_gradebook_matches_its_golden_digest(seed, digest):
+    teams = PBLStudy(seed=seed)._teams(make_paper_sections(seed=seed))
+    gradebook = simulate_gradebook(teams, seed=seed)
+    assert hashlib.sha256(repr(gradebook).encode("utf-8")).hexdigest() == digest
