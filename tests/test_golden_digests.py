@@ -33,6 +33,10 @@ ANCHORS = [
      "721030cbecc750734ec425ef7092c5946c1e2d2d69ecec4f62ef5b4d2de7f0ed"),
     ("study --seed 7919", ["study", "--seed", "7919"],
      "249f9160329a18eaa71ea55b1c983950929ec9840bc2271daa9a938731ceff4e"),
+    ("megacohort --check-identity", ["megacohort", "--check-identity"],
+     "181cd3869760e831f857aa1ecff6e44582d910a45ff5d1402e1079988ca0db13"),
+    ("trace --list", ["trace", "--list"],
+     "44e09d29194c5c8046c502c95202dc0e7668b184b1bb0306a42a1c2371e6c347"),
 ]
 
 
