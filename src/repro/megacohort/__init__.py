@@ -19,7 +19,9 @@ ever materialising the full response tensor.  The pipeline:
 
 Correctness anchor: at N=124 with the calibrated knobs and a single
 shard, the streamed pipeline renders Tables 1–6 **byte-identically** to
-the in-memory path (``tests/test_megacohort.py`` pins this).
+the in-memory path through typed response sheets
+(``tests/test_megacohort.py`` pins this).  The study itself is such a
+one-shard run.
 """
 
 from repro.megacohort.aggregate import SurveyStats, analyze

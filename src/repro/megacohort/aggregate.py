@@ -15,11 +15,13 @@ four accumulators that together determine every cell of Tables 1–6,
   (emphasis, growth) skill-score pair, shape (skill, wave): the Pearson
   correlations of Table 4.
 
-:func:`analyze` turns merged statistics into the same
-:class:`~repro.core.analysis.StudyAnalysis` the in-memory path produces
-(with ``scores={}`` — the raw per-student vectors no longer exist),
-via the ``*_from_stats`` entry points of :mod:`repro.stats`, whose
-floating-point operation order mirrors the array versions exactly.
+:func:`analyze` turns merged statistics into the
+:class:`~repro.core.analysis.StudyAnalysis` of Tables 1–6, via the
+``*_from_stats`` entry points of :mod:`repro.stats`, whose
+floating-point operation order mirrors the array versions exactly.  It
+is the one analysis path: the study analyses its N=124 tensor as one
+shard, and :func:`~repro.core.analysis.analyze_waves` stacks typed
+response sheets into such a tensor first.
 """
 
 from __future__ import annotations
@@ -118,11 +120,9 @@ class SurveyStats:
 def analyze(stats: SurveyStats):
     """The paper's full analysis from merged sufficient statistics alone.
 
-    Returns a :class:`~repro.core.analysis.StudyAnalysis` identical in
-    shape to :func:`~repro.core.analysis.analyze_waves`'s, except that
-    ``scores`` is empty — the raw per-student vectors were never held.
-    Everything the report renders (Tables 1–6, fidelity checks) comes
-    from the other fields.
+    Returns the :class:`~repro.core.analysis.StudyAnalysis` behind
+    everything the report renders (Tables 1–6, fidelity checks); the
+    raw per-student vectors are never needed.
     """
     from repro.core.analysis import StudyAnalysis
     from repro.simulation.model import WAVES
@@ -191,5 +191,4 @@ def analyze(stats: SurveyStats):
         growth_spread=growth_spread,
         emphasis_spread=emphasis_spread,
         gaps=gaps,
-        scores={},
     )

@@ -14,10 +14,14 @@ response tensor at N=1,000,000 would need roughly
 :func:`full_tensor_bytes` ≈ 1.8 GB, while the streamed run holds a few
 tens of MB per in-flight shard.
 
-:func:`run_in_memory` is the reference path — the existing
-``ResponseModel → assemble_waves → analyze_waves`` pipeline — and
-:func:`identity_check` pins the correctness anchor: at N=124 with one
-shard, both paths render Tables 1–6 **byte-identically**.
+:func:`run_in_memory` is the reference path — ``ResponseModel →
+assemble_waves → analyze_waves``, the monolithic draw round-tripped
+through typed response sheets — and :func:`identity_check` pins the
+correctness anchor: at N=124 with one shard, both paths render Tables
+1–6 **byte-identically**.  Both end in the same
+:func:`~repro.megacohort.aggregate.analyze` call (the study itself is
+that one-shard run), so the check compares shard 0's draws with the
+monolithic model's and the sheet round trip with the raw tensor.
 """
 
 from __future__ import annotations
@@ -184,10 +188,11 @@ def run_in_memory(seed: int = DEFAULT_SEED):
     """The reference pipeline at the published N=124.
 
     Generates the full tensor with the calibrated knobs, assembles
-    typed survey waves, and runs :func:`~repro.core.analysis.analyze_waves`
-    — exactly what :class:`~repro.core.study.PBLStudy` does for the
-    survey, with synthetic zero-padded student ids (sorted id order ==
-    row order, so the pairing is identical).  Returns a StudyAnalysis.
+    typed survey waves, and runs the typed-sheet adapter
+    :func:`~repro.core.analysis.analyze_waves` on them, with synthetic
+    zero-padded student ids (sorted id order == row order, so the
+    adapter restacks the generated tensor row for row).  Returns a
+    StudyAnalysis.
     """
     from repro.core.analysis import analyze_waves
     from repro.simulation.assemble import assemble_waves

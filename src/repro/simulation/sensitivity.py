@@ -11,13 +11,20 @@ analytic power curve, which the tests verify at a coarse level).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.analysis import StudyAnalysis, analyze_waves
 from repro.survey.responses import WaveResponses
 
+if TYPE_CHECKING:
+    from repro.core.analysis import StudyAnalysis
+
 __all__ = ["SensitivityPoint", "subsample_analysis", "sensitivity_sweep"]
+
+#: The smallest cohort the analysis is defined on: Table 4's Pearson
+#: correlations need at least 3 pairs.
+MIN_COHORT = 3
 
 
 def _subsample(wave: WaveResponses, ids: list[str]) -> WaveResponses:
@@ -40,8 +47,15 @@ def subsample_analysis(
         {r.student_id for r in first.responses}
         & {r.student_id for r in second.responses}
     )
-    if not 2 <= n <= len(common):
-        raise ValueError(f"n must be in [2, {len(common)}], got {n}")
+    if not MIN_COHORT <= n <= len(common):
+        raise ValueError(
+            f"n must be in [{MIN_COHORT}, {len(common)}] (the analysis "
+            f"needs at least {MIN_COHORT} students), got {n}"
+        )
+    # Imported here: repro.core imports this package (the study and the
+    # analysis sit above the simulation layer).
+    from repro.core.analysis import analyze_waves
+
     rng = np.random.default_rng(seed)
     chosen = list(rng.choice(common, size=n, replace=False))
     return analyze_waves(_subsample(first, chosen), _subsample(second, chosen))
@@ -69,6 +83,12 @@ def sensitivity_sweep(
     """Detection rates of the two headline effects across cohort sizes."""
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
+    too_small = [size for size in sizes if size < MIN_COHORT]
+    if too_small:
+        raise ValueError(
+            f"cohort sizes must be at least {MIN_COHORT} (the analysis "
+            f"needs at least {MIN_COHORT} students), got {too_small}"
+        )
     points: list[SensitivityPoint] = []
     for size in sizes:
         emphasis_hits = 0

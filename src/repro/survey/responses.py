@@ -8,7 +8,7 @@ bundles a whole cohort's responses for one administration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.survey.instrument import Element, Instrument
 from repro.survey.scales import Category, validate_likert
@@ -118,12 +118,3 @@ class WaveResponses:
             raise ValueError("no students answered both waves")
         return [mine[s] for s in common], [theirs[s] for s in common]
 
-
-def iter_scores(
-    responses: Iterable[StudentResponse], category: Category
-) -> Iterable[tuple[str, ElementResponse]]:
-    """Yield (student_id, element response) pairs for one category."""
-    for response in responses:
-        for (name, cat), rating in response.ratings.items():
-            if cat is category:
-                yield response.student_id, rating

@@ -21,7 +21,7 @@ mean of the components equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.stats.composite import composite_score
 from repro.stats.descriptive import mean
@@ -121,16 +121,3 @@ def cohort_scores(wave: WaveResponses, category: Category) -> CohortScores:
         composite_means=composite_means,
     )
 
-
-def paired_overall(
-    first: Sequence[StudentResponse],
-    second: Sequence[StudentResponse],
-    category: Category,
-) -> tuple[list[float], list[float]]:
-    """Paired per-student overall averages for two waves (same order)."""
-    if len(first) != len(second):
-        raise ValueError("paired scoring requires aligned response lists")
-    return (
-        [overall_average(r, category) for r in first],
-        [overall_average(r, category) for r in second],
-    )

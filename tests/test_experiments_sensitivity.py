@@ -114,3 +114,11 @@ class TestSensitivity:
                 study_result.waves["second_half"],
                 n_replicates=0,
             )
+
+    def test_cohort_below_three_rejected_up_front(self, study_result):
+        first = study_result.waves["first_half"]
+        second = study_result.waves["second_half"]
+        with pytest.raises(ValueError, match="at least 3 students"):
+            subsample_analysis(first, second, n=2)
+        with pytest.raises(ValueError, match=r"at least 3 .*\[2\]"):
+            sensitivity_sweep(first, second, sizes=(124, 2), n_replicates=1)

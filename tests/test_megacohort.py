@@ -5,8 +5,12 @@ The load-bearing facts pinned here:
 
 - **Anchor** — the streamed single-shard N=124 run renders Tables 1–6
   byte-identically to the in-memory ``ResponseModel → assemble_waves →
-  analyze_waves`` pipeline (today's numbers are the exact special case
-  of the streamed path).
+  analyze_waves`` pipeline.  The study is itself a one-shard run and
+  ``analyze_waves`` is the adapter that stacks typed sheets back into
+  the item tensor, so both sides end in the same ``analyze`` call: the
+  check compares shard 0's draws with the monolithic model's and the
+  typed-sheet round trip with the raw tensor.  The list-based oracle
+  lives in ``tests/test_analysis_oracle.py``.
 - **Seed rule** — shard 0 *is* the monolithic model's PCG64 stream
   (bitwise), every later shard draws from its own independent child
   stream, so any shard is regenerable from ``(seed, index)`` alone.
@@ -102,10 +106,11 @@ def test_n124_streamed_tables_match_in_memory_byte_for_byte():
 
 
 def test_streamed_analysis_matches_in_memory_to_ulp_precision():
-    # Raw statistics agree to a few ulps (the streamed path accumulates
-    # with Welford merges, the in-memory path with fsum); the rendered
+    # Both paths end in the same ``analyze`` call on the same draws, so
+    # the raw statistics agree far inside this tolerance; the rendered
     # tables — the published artifact — are byte-identical, which
-    # test_n124_streamed_tables_match_in_memory_byte_for_byte pins.
+    # test_n124_streamed_tables_match_in_memory_byte_for_byte pins.  The
+    # list-based oracle comparison lives in tests/test_analysis_oracle.py.
     import math
 
     targets = _calibration(SEED)[0]
