@@ -37,6 +37,10 @@ ANCHORS = [
      "181cd3869760e831f857aa1ecff6e44582d910a45ff5d1402e1079988ca0db13"),
     ("trace --list", ["trace", "--list"],
      "44e09d29194c5c8046c502c95202dc0e7668b184b1bb0306a42a1c2371e6c347"),
+    ("sched drugdesign --seed 7", ["sched", "drugdesign", "--seed", "7"],
+     "f048f0bfa85a823da67f9955356f706b4496b31d53658d84bf0947b95f70dd9b"),
+    ("chaos drugdesign --seed 7", ["chaos", "drugdesign", "--seed", "7"],
+     "41a1db759b57b520f89da2eeb8cb0ac9be7821f4d6b1f182be84c2e5403e4a55"),
 ]
 
 
