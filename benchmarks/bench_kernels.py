@@ -1,11 +1,12 @@
-"""Kernel cost: vectorized NumPy fast paths vs the scalar oracles.
+"""Kernel cost: the fast paths the default backend ships vs the scalar
+oracles.
 
 Shape criteria (absolute numbers are machine-dependent, shapes are
-not): every vectorized kernel is at least as fast as its scalar twin at
-the benchmark sizes, the batched LCS beats the per-ligand vectorized
-kernel (one padded DP amortizes the per-call setup), and chunked
-scheduler dispatch beats one-task-per-ligand (the per-task bookkeeping
-is paid once per chunk).
+not): every fast kernel — the bit-parallel LCS per ligand and batched,
+the slice stencil, the matrix bootstrap — is at least as fast as its
+scalar twin at the benchmark sizes, and chunked scheduler dispatch
+beats one-task-per-ligand (the per-task bookkeeping is paid once per
+chunk).
 
 Run as a script (``python benchmarks/bench_kernels.py``) it delegates to
 :func:`repro.kernels.bench.run_kernels_bench` — the same measurement
@@ -38,10 +39,25 @@ def test_lcs_scalar_baseline(benchmark):
     assert max(scores) >= 1
 
 
-def test_lcs_batched_kernel(benchmark):
-    """The padded batch kernel must reproduce the scalar scores."""
+def test_lcs_per_ligand_kernel(benchmark):
+    """The bit-parallel kernel, one call per ligand (``kernels.lcs_score``),
+    must reproduce the scalar scores."""
     scores = benchmark(
-        lambda: lcs_kernels.lcs_scores_numpy(_LIGANDS, DEFAULT_PROTEIN)
+        lambda: [
+            lcs_kernels.lcs_score_bitparallel(lig, DEFAULT_PROTEIN)
+            for lig in _LIGANDS
+        ]
+    )
+    assert scores == [
+        lcs_kernels.lcs_score_python(lig, DEFAULT_PROTEIN) for lig in _LIGANDS
+    ]
+
+
+def test_lcs_batched_kernel(benchmark):
+    """The batched bit-parallel kernel (``kernels.lcs_scores``) must
+    reproduce the scalar scores."""
+    scores = benchmark(
+        lambda: lcs_kernels.lcs_scores_bitparallel(_LIGANDS, DEFAULT_PROTEIN)
     )
     assert scores == [
         lcs_kernels.lcs_score_python(lig, DEFAULT_PROTEIN) for lig in _LIGANDS

@@ -54,9 +54,9 @@ Commands
   jobs persist through the durable store at ``--pipeline-db``.
   SIGINT/SIGTERM drains gracefully.
 - ``bench kernels [--quick] [--out BENCH_kernels.json]`` — time every
-  hot numeric loop scalar vs vectorized (LCS sweep, batched scheduler
+  hot numeric loop scalar vs fast kernel (LCS sweep, batched scheduler
   dispatch, stencil, bootstrap) and write the trajectory point; exit
-  code reflects whether the vectorized backend held its ground.
+  code reflects whether the fast backend held its ground.
 - ``bench serve [--quick] [--out BENCH_serve.json]`` — load-test the
   job service with concurrent HTTP clients (cold unique requests, then
   warm identical ones) and write p50/p99 latency, jobs/sec, and the

@@ -70,12 +70,11 @@ def score_ligand(ligand: str, protein: str) -> int:
 def score_ligands(ligands: list[str], protein: str) -> list[int]:
     """Score a batch of ligands in one kernel call.
 
-    The batched fast path: one padded DP advances every ligand together
-    (:func:`repro.kernels.lcs_scores`), so the per-ligand Python
-    overhead is paid once per *batch*.  The per-ligand chaos hook still
-    fires for each ligand — a fault schedule keyed by ligand must not
-    change because the caller batched — and one ``dd.score_batch`` span
-    covers the batch.
+    The batched fast path (:func:`repro.kernels.lcs_scores`): one
+    kernel dispatch and one span per *batch*, not per ligand.  The
+    per-ligand chaos hook still fires for each ligand — a fault
+    schedule keyed by ligand must not change because the caller
+    batched — and one ``dd.score_batch`` span covers the batch.
     """
     for ligand in ligands:
         faults.fire("dd.score", key=ligand, ligand=ligand)
@@ -222,9 +221,9 @@ def _score_group(batch: list[str], protein: str) -> list[tuple[int, str]]:
     across the process boundary when no fault session is active (the
     chaos hooks must keep firing in-process, keyed by ligand).
     """
-    from repro.kernels.lcs import lcs_scores_numpy
+    from repro.kernels.lcs import lcs_scores_bitparallel
 
-    return list(zip(lcs_scores_numpy(batch, protein), batch))
+    return list(zip(lcs_scores_bitparallel(batch, protein), batch))
 
 
 def _auto_chunk(ligands: list[str], protein: str, scheduler: Any) -> int:

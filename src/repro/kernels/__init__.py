@@ -1,15 +1,14 @@
-"""``repro.kernels`` — vectorized NumPy fast paths for every hot loop.
+"""``repro.kernels`` — fast paths for every hot loop.
 
 The compute heart of the reproduction is three scalar Python loops: the
 O(m·n) LCS dynamic program behind Assignment-5 ligand scoring, the
 per-cell heat update behind the MPI stencil, and the per-resample loop
-behind the bootstrap CIs.  NumPy is already a hard dependency; this
-package rewrites each loop as array arithmetic and routes callers
+behind the bootstrap CIs.  Each has a fast kernel, and callers go
 through one **backend registry**:
 
-- ``numpy`` (default) — the vectorized kernels in
-  :mod:`~repro.kernels.lcs`, :mod:`~repro.kernels.stencil`, and
-  :mod:`~repro.kernels.resample`;
+- ``numpy`` (default) — the in-process fast kernels: the bit-parallel
+  LCS in :mod:`~repro.kernels.lcs` and the NumPy kernels in
+  :mod:`~repro.kernels.stencil` and :mod:`~repro.kernels.resample`;
 - ``python`` — the original scalar implementations, kept verbatim as
   the correctness oracle the property tests compare against
   (bit-identical integers and floats, not approximately equal);
@@ -94,16 +93,16 @@ def lcs_score(ligand: str, protein: str) -> int:
                         m=len(ligand), n=len(protein)):
         if chosen == "python":
             return _lcs.lcs_score_python(ligand, protein)
-        return _lcs.lcs_score_numpy(ligand, protein)   # numpy and mp alike
+        return _lcs.lcs_score_bitparallel(ligand, protein)   # numpy and mp alike
 
 
 def lcs_scores(ligands: Sequence[str], protein: str) -> list[int]:
-    """Batched ligand scoring: one padded DP for the whole batch."""
+    """Batched ligand scoring: the protein's match masks are built once."""
     chosen = backend()
     with telemetry.span("kernel.lcs_batch", category="kernel", backend=chosen,
                         batch=len(ligands), n=len(protein)):
         if chosen == "numpy":
-            scores = _lcs.lcs_scores_numpy(ligands, protein)
+            scores = _lcs.lcs_scores_bitparallel(ligands, protein)
         elif chosen == "mp":
             from repro.kernels import mp as _mp
 

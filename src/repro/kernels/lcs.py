@@ -1,33 +1,38 @@
-"""Vectorized longest-common-subsequence kernels.
+"""Longest-common-subsequence kernels.
 
 The scalar DP in :mod:`repro.drugdesign.scoring` walks the O(m·n) table
-one cell at a time.  Both kernels here remove the inner Python loop by
-exploiting two classical LCS facts:
+one cell at a time.  The in-process kernel here is the bit-parallel LCS
+of Allison & Dix (1986) in Hyyrö's (2004) form: one row of the table is
+a single Python integer ``V`` over ``len(protein)`` bits, and one ligand
+character advances the whole row in a handful of big-int operations::
 
-1. **max-of-three is exact.**  Adjacent LCS cells differ by at most 1,
-   so on a match ``L[i-1][j-1] + 1`` dominates both neighbours and
-   ``L[i][j] = max(L[i-1][j-1] + eq, L[i-1][j], L[i][j-1])`` produces
-   *exactly* the standard table, never just a bound.
-2. **the in-row dependency is a running max.**  With ``t[j] =
-   max(prev[j], (prev[j-1] + 1)·eq)`` the recurrence collapses to
-   ``cur[j] = max(t[j], cur[j-1])`` — a prefix maximum, which is one
-   ``np.maximum.accumulate`` over the whole row.
+    U = V & M[c]
+    V = ((V + U) | (V - U)) & full
 
-:func:`lcs_score_numpy` loops over the *ligand* characters (at most
-``max_ligand`` ≈ 7 iterations) and vectorizes each row over the protein
-axis (~150 wide).  :func:`lcs_scores_numpy` batches L ligands into one
-(L, max_m) code matrix and advances all L dynamic programs together, one
-(L, n+1) row per step.  Padded positions use code 0, which matches no
-protein character; because LCS rows are non-decreasing in j, a no-match
-step is the identity (``accumulate(max(prev, 0)) == prev``), so short
-ligands simply coast while longer ones finish — no masking needed.
+where bit i of ``M[c]`` is set where ``protein[i] == c`` and ``V``
+starts all ones.  The score is the number of zero bits left in ``V``.
+That is m big-int steps per ligand with no per-call array setup, which
+at Assignment-5 sizes (m ≤ 7, protein ~150) beats a NumPy row DP by
+more than 10x per ligand and a padded batch DP several times over.
+The match masks depend only on the protein, so they are built once per
+protein and cached.  Characters are compared as characters, never as
+encoded bytes.
 
-All values are small integers, so the NumPy tables are *exactly* equal
-to the scalar oracle's (property-tested in ``tests/test_kernels.py``).
+:func:`lcs_scores_codes_numpy` is the NumPy matrix DP the ``mp``
+backend runs in its pool children (:mod:`repro.kernels.mp`): it
+advances L ligands together, one (L, n+1) row per step, on int32 code
+point matrices from :func:`encode_ligands` and :func:`encode_protein`.
+Ligands are padded with -1, which matches no code point; because LCS
+rows are non-decreasing in j, a no-match step is the identity, so short
+ligands coast while longer ones finish.
+
+Every score is an exact integer, equal to the scalar oracle's
+(property-tested in ``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +42,8 @@ from repro.drugdesign.scoring import lcs_score as lcs_score_python
 __all__ = [
     "lcs_score_python",
     "lcs_scores_python",
-    "lcs_score_numpy",
-    "lcs_scores_numpy",
+    "lcs_score_bitparallel",
+    "lcs_scores_bitparallel",
     "lcs_scores_codes_numpy",
     "encode_protein",
     "encode_ligands",
@@ -46,24 +51,21 @@ __all__ = [
 
 
 def encode_protein(protein: str) -> np.ndarray:
-    """Protein as an int16 code vector (int16 so pad code 0 never collides)."""
-    return np.frombuffer(protein.encode("utf-8"), dtype=np.uint8).astype(np.int16)
+    """Protein as an int32 vector of code points."""
+    return np.fromiter(map(ord, protein), dtype=np.int32, count=len(protein))
 
 
 def encode_ligands(ligands: Sequence[str], max_m: int) -> np.ndarray:
-    """Ligands as one zero-padded (L, max_m) int16 code matrix.
+    """Ligands as one (L, max_m) int32 code point matrix padded with -1.
 
-    Pad code 0 matches no protein character, and a no-match DP step is
-    the identity on a non-decreasing row — so rows padded to a *global*
+    The pad matches no protein character, and a no-match DP step is the
+    identity on a non-decreasing row, so rows padded to a *global*
     ``max_m`` simply coast, which is what lets the multiprocess backend
     slice this matrix into row shards without changing any score.
     """
-    batch = np.zeros((len(ligands), max_m), dtype=np.int16)
+    batch = np.full((len(ligands), max_m), -1, dtype=np.int32)
     for row, ligand in enumerate(ligands):
-        if ligand:
-            batch[row, : len(ligand)] = np.frombuffer(
-                ligand.encode("utf-8"), dtype=np.uint8
-            )
+        batch[row, : len(ligand)] = list(map(ord, ligand))
     return batch
 
 
@@ -72,50 +74,47 @@ def lcs_scores_python(ligands: Sequence[str], protein: str) -> list[int]:
     return [lcs_score_python(ligand, protein) for ligand in ligands]
 
 
-def lcs_score_numpy(
-    ligand: str, protein: str, protein_codes: np.ndarray | None = None
-) -> int:
-    """Row-vectorized LCS length: outer loop over ligand chars only.
+@functools.lru_cache(maxsize=16)
+def _protein_masks(protein: str) -> tuple[dict[str, int], int]:
+    """Per-character match masks of ``protein``, and its all-ones mask.
 
-    ``protein_codes`` (from :func:`encode_protein`) lets a caller scoring
-    many ligands against one protein skip the re-encode per call.
+    Cached: the per-ligand callers score many ligands against one
+    protein, and at protein length 143 one rebuild costs about ten
+    times the kernel itself.  Every caller shares the returned dict, so
+    it is read, never written.
     """
-    if not ligand or not protein:
-        return 0
-    codes = encode_protein(protein) if protein_codes is None else protein_codes
-    n = codes.size
-    previous = np.zeros(n + 1, dtype=np.int32)
-    current = np.zeros(n + 1, dtype=np.int32)
-    for ch in ligand.encode("utf-8"):
-        np.maximum.accumulate(
-            np.maximum(previous[1:], np.where(codes == ch, previous[:-1] + 1, 0)),
-            out=current[1:],
-        )
-        previous, current = current, previous
-    return int(previous[n])
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(protein):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    return masks, (1 << len(protein)) - 1
 
 
-def lcs_scores_numpy(ligands: Sequence[str], protein: str) -> list[int]:
-    """Score L ligands in one padded batch: max_m steps of (L, n+1) rows."""
-    if not ligands:
-        return []
-    if not protein:
-        return [0] * len(ligands)
-    codes = encode_protein(protein)
-    max_m = max(len(ligand) for ligand in ligands)
-    if max_m == 0:
-        return [0] * len(ligands)
-    return lcs_scores_codes_numpy(encode_ligands(ligands, max_m), codes)
+def lcs_score_bitparallel(ligand: str, protein: str) -> int:
+    """LCS length by the bit-parallel row update: one step per ligand char."""
+    masks, full = _protein_masks(protein)
+    row = full
+    for ch in ligand:
+        matched = row & masks.get(ch, 0)
+        row = ((row + matched) | (row - matched)) & full
+    return len(protein) - row.bit_count()
+
+
+def lcs_scores_bitparallel(ligands: Sequence[str], protein: str) -> list[int]:
+    """Batched API over :func:`lcs_score_bitparallel` (masks built once)."""
+    return [lcs_score_bitparallel(ligand, protein) for ligand in ligands]
 
 
 def lcs_scores_codes_numpy(batch: np.ndarray, codes: np.ndarray) -> list[int]:
     """The matrix DP on pre-encoded inputs: (L, max_m) ligand codes
     against one protein code vector.
 
-    Row-independent, so any row slice of ``batch`` yields exactly the
-    scores of those ligands — the entry point the multiprocess backend
-    calls per shard after shipping ``batch[lo:hi]`` through shared
-    memory.
+    Each step is ``cur[j] = max(prev[j], (prev[j-1] + 1)·eq, cur[j-1])``
+    (exact, since adjacent LCS cells differ by at most 1); the in-row
+    dependency is a running max, so one ``np.maximum.accumulate``
+    advances all L rows.  Row-independent, so any row slice of
+    ``batch`` yields exactly the scores of those ligands — the entry
+    point the multiprocess backend calls per shard after shipping
+    ``batch[lo:hi]`` through shared memory.
     """
     n = codes.size
     rows = batch.shape[0]

@@ -4,13 +4,13 @@
 decomposes into independent array blocks:
 
 - **batched LCS** — the parent pre-encodes the *global* (L, max_m)
-  ligand code matrix (padding to the global ``max_m`` is score-neutral:
-  pad code 0 matches nothing and a no-match DP step is the identity),
-  ships contiguous row shards to a persistent pool via shared memory,
-  and concatenates per-shard scores in shard order.  Row DPs are
-  independent, so the result is bit-identical to one in-process
-  :func:`~repro.kernels.lcs.lcs_scores_codes_numpy` over the whole
-  matrix.
+  ligand code point matrix (padding to the global ``max_m`` is
+  score-neutral: pad code -1 matches nothing and a no-match DP step is
+  the identity), ships contiguous row shards to a persistent pool via
+  shared memory, and concatenates per-shard scores in shard order.
+  Row DPs are independent, so the result is bit-identical to one
+  in-process :func:`~repro.kernels.lcs.lcs_scores_codes_numpy` over
+  the whole matrix.
 - **heat stencil** — two shared-memory buffers hold the rod; each
   worker owns a contiguous interior block and advances it with the
   *same* slice expression as :func:`~repro.kernels.stencil.
@@ -21,11 +21,11 @@ decomposes into independent array blocks:
   in action.
 
 Everything else (single-ligand LCS, block steps, bootstrap resampling)
-falls back to the in-process NumPy kernels: single calls are too small
-to amortise a hop, and sharding the bootstrap would split its single
-PCG64 stream and change the draws.  Small inputs take the same fallback
-(:data:`MIN_MP_LIGANDS` / :data:`MIN_MP_CELLS`) — shipping must never
-make a call slower than running it here.
+falls back to the in-process ``numpy``-backend kernels: single calls
+are too small to amortise a hop, and sharding the bootstrap would split
+its single PCG64 stream and change the draws.  Small inputs take the
+same fallback (:data:`MIN_MP_LIGANDS` / :data:`MIN_MP_CELLS`) —
+shipping must never make a call slower than running it here.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "close_pool",
 ]
 
-#: Below these sizes the in-process NumPy kernel runs instead — the
+#: Below these sizes the in-process kernel runs instead — the
 #: cross-process hop costs more than it saves.  Deliberately small so
 #: the test suite exercises the real transport on modest inputs.
 MIN_MP_LIGANDS = 8
@@ -91,7 +91,7 @@ def lcs_scores_mp(ligands: Sequence[str], protein: str) -> list[int]:
         return [0] * len(ligands)
     pool = None if len(ligands) < MIN_MP_LIGANDS else _pool()
     if pool is None or pool.n_workers < 2:
-        return _lcs.lcs_scores_numpy(ligands, protein)
+        return _lcs.lcs_scores_bitparallel(ligands, protein)
     codes = _lcs.encode_protein(protein)
     max_m = max(len(ligand) for ligand in ligands)
     if max_m == 0:
