@@ -22,8 +22,9 @@ composes the substrate built in earlier PRs as production components:
   request completes instantly as a ``cached`` job without re-execution;
 - **observability** — every transition bumps ``serve.*`` counters, the
   queue-depth gauge tracks the backlog, and per-job latency lands in a
-  histogram; with telemetry enabled each execution runs under a
-  ``serve.job`` span;
+  histogram; the service's own session keeps no trace (it would grow
+  with every job), so ``serve.job`` spans are recorded only under a
+  caller's tracing session;
 - **durable callbacks** — a submission may carry ``on_complete``: a
   follow-up job spec armed in the durable
   :class:`~repro.pipeline.store.JobStore` and enqueued exactly once
@@ -157,11 +158,11 @@ class JobService:
         self._jobs: dict[str, Job] = {}
         self._next_id = 0
         self._closed = False
-        # One observable metrics surface for /metrics: enable a session
-        # for the service's lifetime unless the caller already runs one.
+        # One observable metrics surface for /metrics: collect metrics
+        # for the service's lifetime unless the caller runs a session.
         self._session = None
         if manage_telemetry and not telemetry.is_enabled():
-            self._session = telemetry.enable()
+            self._session = telemetry.enable_metrics()
         self.executor.start()
         self._resubmit_stranded_callbacks()
 

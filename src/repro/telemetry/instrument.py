@@ -1,15 +1,15 @@
 """The hooks instrumented code calls.
 
-Every hook starts with the same single branch: load the module-global
-``_STATE`` tuple and bail if it is ``None``.  That is the entire cost of
-disabled telemetry — no tracer object, no lock, no allocation — which is
-what lets the runtimes keep their hooks inline on hot paths (barrier
-waits, message receives, per-ligand scoring) without a measurable tax on
-the deterministic tests.
+Every hook starts with the same single branch: load one module global
+(``_TRACER`` or ``_METRICS``) and bail if it is ``None``.  That is the
+entire cost of disabled telemetry — no tracer object, no lock, no
+allocation — which is what lets the runtimes keep their hooks inline on
+hot paths (barrier waits, message receives, per-ligand scoring) without
+a measurable tax on the deterministic tests.
 
-Enabled state is installed by :func:`repro.telemetry.enable` /
-:class:`repro.telemetry.TelemetrySession`; instrumented modules import
-only this module and never manage state themselves::
+A full session installs both globals, a metrics-only session only
+``_METRICS`` (spans are then the shared no-op); :func:`enabled` means
+metrics are collecting.  Instrumented modules never manage state::
 
     from repro.telemetry import instrument as telemetry
     ...
@@ -40,10 +40,11 @@ __all__ = [
     "now_us",
 ]
 
-#: (tracer, metrics) when telemetry is on, None when off.  Read without a
-#: lock — rebinding a module global is atomic under the GIL, and a stale
-#: read merely drops (or records) one event at the enable/disable edge.
-_STATE: tuple[Tracer, MetricsRegistry] | None = None
+#: The active session's collectors, None when off.  Read without a lock —
+#: rebinding a module global is atomic under the GIL, and a stale read
+#: merely drops (or records) one event at the enable/disable edge.
+_TRACER: Tracer | None = None
+_METRICS: MetricsRegistry | None = None
 
 
 class _NullSpan:
@@ -61,57 +62,57 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _install(tracer: Tracer, metrics: MetricsRegistry) -> None:
-    global _STATE
-    _STATE = (tracer, metrics)
+def _install(tracer: Tracer | None, metrics: MetricsRegistry) -> None:
+    global _TRACER, _METRICS
+    _TRACER, _METRICS = tracer, metrics
 
 
 def _uninstall() -> None:
-    global _STATE
-    _STATE = None
+    global _TRACER, _METRICS
+    _TRACER = _METRICS = None
 
 
 def enabled() -> bool:
-    """Is telemetry currently collecting?"""
-    return _STATE is not None
+    """Are metrics currently collecting?"""
+    return _METRICS is not None
 
 
 def span(name: str, category: str = "", parent_id: int | None = None, **args: Any):
-    """Open a span if telemetry is on; otherwise a shared no-op."""
-    state = _STATE
-    if state is None:
+    """Open a span if a tracer is collecting; otherwise a shared no-op."""
+    tracer = _TRACER
+    if tracer is None:
         return _NULL_SPAN
-    return state[0].span(name, category, parent_id=parent_id, **args)
+    return tracer.span(name, category, parent_id=parent_id, **args)
 
 
 def instant(name: str, **args: Any) -> None:
-    state = _STATE
-    if state is None:
+    tracer = _TRACER
+    if tracer is None:
         return
-    state[0].instant(name, **args)
+    tracer.instant(name, **args)
 
 
 def counter_event(name: str, value: float, series: str = "value") -> None:
     """Timestamped counter sample on the trace timeline."""
-    state = _STATE
-    if state is None:
+    tracer = _TRACER
+    if tracer is None:
         return
-    state[0].counter(name, value, series)
+    tracer.counter(name, value, series)
 
 
 def inc(name: str, delta: float = 1.0) -> None:
     """Bump an aggregate metrics counter."""
-    state = _STATE
-    if state is None:
+    metrics = _METRICS
+    if metrics is None:
         return
-    state[1].counter(name).inc(delta)
+    metrics.counter(name).inc(delta)
 
 
 def gauge(name: str, value: float) -> None:
-    state = _STATE
-    if state is None:
+    metrics = _METRICS
+    if metrics is None:
         return
-    state[1].gauge(name).set(value)
+    metrics.gauge(name).set(value)
 
 
 def observe(name: str, value: float, boundaries: Any = None) -> None:
@@ -123,58 +124,58 @@ def observe(name: str, value: float, boundaries: Any = None) -> None:
     where the default microsecond buckets would collapse everything into
     one bin.
     """
-    state = _STATE
-    if state is None:
+    metrics = _METRICS
+    if metrics is None:
         return
     if boundaries is None:
-        state[1].histogram(name).observe(value)
+        metrics.histogram(name).observe(value)
     else:
-        state[1].histogram(name, boundaries).observe(value)
+        metrics.histogram(name, boundaries).observe(value)
 
 
 def observe_us(name: str, value_us: float) -> None:
     """Record a microsecond latency into a histogram."""
-    state = _STATE
-    if state is None:
+    metrics = _METRICS
+    if metrics is None:
         return
-    state[1].histogram(name).observe(value_us)
+    metrics.histogram(name).observe(value_us)
 
 
 def set_thread(tid: int, thread_name: str, process: str = "main") -> None:
     """Declare the calling thread's logical identity (no-op when off)."""
-    state = _STATE
-    if state is None:
+    tracer = _TRACER
+    if tracer is None:
         return
-    state[0].set_thread_identity(tid, thread_name, process)
+    tracer.set_thread_identity(tid, thread_name, process)
 
 
 def ensure_thread(process: str, thread_name: str | None = None) -> None:
     """Adopt an anonymous worker thread into ``process`` (no-op when off)."""
-    state = _STATE
-    if state is None:
+    tracer = _TRACER
+    if tracer is None:
         return
-    state[0].ensure_thread(process, thread_name)
+    tracer.ensure_thread(process, thread_name)
 
 
 def clear_thread() -> None:
-    state = _STATE
-    if state is None:
+    tracer = _TRACER
+    if tracer is None:
         return
-    state[0].clear_thread_identity()
+    tracer.clear_thread_identity()
 
 
 def current_span_id() -> int | None:
     """Innermost open span on this thread — capture before forking workers
     so their root spans parent under the region span."""
-    state = _STATE
-    if state is None:
+    tracer = _TRACER
+    if tracer is None:
         return None
-    return state[0].current_span_id()
+    return tracer.current_span_id()
 
 
 def now_us() -> float:
-    """Tracer-relative monotonic microseconds (0.0 when telemetry is off)."""
-    state = _STATE
-    if state is None:
+    """Tracer-relative monotonic microseconds (0.0 with no tracer)."""
+    tracer = _TRACER
+    if tracer is None:
         return 0.0
-    return state[0].now_us()
+    return tracer.now_us()

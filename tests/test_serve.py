@@ -417,6 +417,31 @@ def test_http_cancel_endpoint(make_service):
             _poll_done(port, blocker["id"])
 
 
+# -- telemetry: metrics, not traces -------------------------------------------
+
+
+def test_service_session_collects_metrics_and_keeps_no_trace(make_service):
+    # A trace grows with every job; a long-lived service must not keep one.
+    service = make_service(workers=2, backlog=8)
+    jobs = [service.submit("sched", name, {"seed": 3})
+            for name in ("mapreduce", "drugdesign", "stencil_sched", "openmp")]
+    assert [_wait(job) for job in jobs] == ["done"] * 4
+    assert telemetry.get_tracer() is None
+    snapshot = service.metrics_snapshot()
+    assert snapshot["serve.jobs.completed"] == 4
+    assert snapshot["sched.tasks.submitted"] > 0     # from inside the jobs
+
+
+def test_service_inside_a_callers_session_keeps_its_spans(make_service):
+    with telemetry.session() as session:
+        service = make_service(workers=2, backlog=8)
+        assert _wait(service.submit(**_SPEC)) == "done"
+        service.shutdown()                   # the serve.job span has closed
+        assert telemetry.get_tracer() is session.tracer
+    names = {span.name for span in session.tracer.spans}
+    assert {"serve.job", "mr.job"} <= names
+
+
 def test_render_metrics_text_histogram_exposition():
     text = render_metrics_text({
         "a.counter": 3.0,

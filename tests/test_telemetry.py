@@ -273,6 +273,34 @@ class TestSession:
         assert instrument.current_span_id() is None
         assert instrument.now_us() == 0.0
 
+    def test_metrics_only_session_collects_metrics_and_no_trace(self):
+        from repro.telemetry import instrument
+
+        session = telemetry.enable_metrics()
+        assert telemetry.is_enabled() and instrument.enabled()
+        assert session.tracer is None and telemetry.get_tracer() is None
+        assert telemetry.get_metrics() is session.metrics
+        with pytest.raises(RuntimeError):
+            telemetry.enable()                  # still one session at a time
+        span = instrument.span("work", step=1)
+        assert span is instrument._NULL_SPAN
+        with span:
+            instrument.instant("ping")
+            instrument.counter_event("depth", 3)
+            instrument.set_thread(0, "t")
+            instrument.ensure_thread("p")
+            instrument.clear_thread()
+            instrument.inc("done")
+            instrument.observe_us("lat_us", 5.0)
+        assert instrument.current_span_id() is None
+        assert instrument.now_us() == 0.0
+        snapshot = session.metrics.snapshot()
+        assert set(snapshot) == {"done", "lat_us"}   # no trace-only series
+        assert snapshot["done"] == 1
+        assert snapshot["lat_us"]["count"] == 1
+        assert telemetry.disable() is session
+        assert not instrument.enabled()
+
     def test_hooks_collect_when_enabled(self):
         from repro.telemetry import instrument
 

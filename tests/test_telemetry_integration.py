@@ -303,13 +303,17 @@ class TestDisabledOverhead:
             "counter_event": lambda *a, **k: None,
             "inc": lambda *a, **k: None,
             "gauge": lambda *a, **k: None,
+            "observe": lambda *a, **k: None,
             "observe_us": lambda *a, **k: None,
             "set_thread": lambda *a, **k: None,
             "ensure_thread": lambda *a, **k: None,
             "clear_thread": lambda *a, **k: None,
             "current_span_id": lambda: None,
+            "now_us": lambda: 0.0,
             "enabled": lambda: False,
         }
+        # Every public hook is stubbed, so a new one cannot escape the bound.
+        assert set(stubs) == set(instrument.__all__)
 
         for attempt in range(3):
             shipped_best = float("inf")
