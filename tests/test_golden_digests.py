@@ -41,6 +41,30 @@ ANCHORS = [
      "f048f0bfa85a823da67f9955356f706b4496b31d53658d84bf0947b95f70dd9b"),
     ("chaos drugdesign --seed 7", ["chaos", "drugdesign", "--seed", "7"],
      "41a1db759b57b520f89da2eeb8cb0ac9be7821f4d6b1f182be84c2e5403e4a55"),
+    ("sched mapreduce --seed 7", ["sched", "mapreduce", "--seed", "7"],
+     "f206ab8e33a82064a8258c5a89a02873da20048b20cb77ddecf2a3508c2636b4"),
+    ("sched openmp --seed 7", ["sched", "openmp", "--seed", "7"],
+     "a847f7889268dbc6be883b958e9bda9870ae7b42eac4626d6497bd398ef7dadc"),
+    ("sched megacohort --seed 7", ["sched", "megacohort", "--seed", "7"],
+     "4788fba9e70877487c073750329d78d8b46feea119bf5785122fbd988809dca2"),
+    ("sched stencil_sched --seed 7", ["sched", "stencil_sched", "--seed", "7"],
+     "9994e3502ed6ad2987adebe67f75343bf8362a355b092960ffc72119304869c7"),
+    ("chaos collectives --seed 7", ["chaos", "collectives", "--seed", "7"],
+     "0153ee54bcb6838c938d8086c04ed1488ed73d0a12d2536af67bd0bcb64206db"),
+    ("chaos mapreduce --seed 7", ["chaos", "mapreduce", "--seed", "7"],
+     "7ddf3c0d4e1266b8c87d45bfb96543a2e6065dbe4f2068b17d32d2c00fd64d92"),
+    ("chaos megacohort --seed 7", ["chaos", "megacohort", "--seed", "7"],
+     "87a7350ff2c68da60d9dbd33f0fc6853af9ce12f9750e46f68828f7959f86e3f"),
+    ("chaos mpi --seed 7", ["chaos", "mpi", "--seed", "7"],
+     "c069106179acd6c12df6f51334cb31d707185cb8179536360dc785d5d2899073"),
+    ("chaos openmp --seed 7", ["chaos", "openmp", "--seed", "7"],
+     "9547a61354b87a0151feb0fa8646c76503c3fef348295afa4f9f5a8fc7621ee1"),
+    ("chaos partition --seed 7", ["chaos", "partition", "--seed", "7"],
+     "8041f9397ce77b14fd47511faf5d69ac42141268e839cee565b777433fbfdf92"),
+    ("chaos stencil --seed 7", ["chaos", "stencil", "--seed", "7"],
+     "3d3fdb9845f009c1b8e83591d54b999276c29528d4d25421e842ea43a78b6781"),
+    ("chaos stencil_sched --seed 7", ["chaos", "stencil_sched", "--seed", "7"],
+     "4315038427440f2c9006e2d82f804b265587ebb6e8bee9b58f33039559454741"),
 ]
 
 
