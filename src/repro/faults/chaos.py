@@ -102,19 +102,6 @@ def partition_rank(rank: int) -> tuple[FaultRule, FaultRule]:
     )
 
 
-#: Small deterministic corpus (mirrors the telemetry workloads').
-_DOCUMENTS: tuple[tuple[int, str], ...] = (
-    (0, "the fork joins the team and the team joins the fork"),
-    (1, "a barrier waits for every thread every time"),
-    (2, "map shuffle reduce map shuffle reduce"),
-    (3, "the master re executes failed tasks"),
-    (4, "stragglers get backup tasks near the end"),
-    (5, "the reduction combines partial sums into one"),
-    (6, "messages match by source and tag in order"),
-    (7, "the scatter hands one block to every rank"),
-)
-
-
 # -- plans -------------------------------------------------------------------
 
 
@@ -201,9 +188,10 @@ def named_plan(workload: str, seed: int) -> FaultPlan:
 def _run_mapreduce(injector: FaultInjector, seed: int, threads: int) -> tuple[int, list[str], bool]:
     from repro.mapreduce.engine import MapReduceEngine
     from repro.mapreduce.jobs import word_count_job
+    from repro.telemetry.workloads import DOCUMENTS
 
     spec = word_count_job(n_reduce_tasks=4)
-    records = list(_DOCUMENTS)
+    records = list(DOCUMENTS)
     engine = MapReduceEngine(n_workers=threads, max_attempts=4)
     result = engine.run(spec, records)
     reference = MapReduceEngine(n_workers=1).run_sequential(spec, records)

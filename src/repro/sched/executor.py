@@ -216,7 +216,11 @@ class WorkStealingExecutor:
         return 0
 
     def _record(self, worker: int, kind: str, task_id: int, detail: str = "") -> None:
+        """Append one event to the log.  A serving executor keeps none:
+        its log would grow with every job and nothing reads it."""
         with self._lock:
+            if self._serve_threads:
+                return
             self.events.append(
                 SchedEvent(self._event_step(worker), worker, kind, task_id, detail)
             )
@@ -284,9 +288,7 @@ class WorkStealingExecutor:
             self._counts["submitted"] += len(tasks)
             origin = -1 if worker is None else worker
             for task in tasks:
-                self.events.append(SchedEvent(
-                    self._event_step(origin), origin, "submit", task.task_id
-                ))
+                self._record(origin, "submit", task.task_id)
         if telemetry.enabled():
             telemetry.inc("sched.tasks.submitted", len(tasks))
             telemetry.counter_event("sched.queue.depth", self._pending)
@@ -308,9 +310,7 @@ class WorkStealingExecutor:
             self._outstanding -= 1
             self._pending -= 1
             self._counts["cancelled"] += 1
-            self.events.append(SchedEvent(
-                self._event_step(-1), -1, "cancel", task.task_id
-            ))
+            self._record(-1, "cancel", task.task_id)
         handle._error = CancelledError(
             f"task {task.task_id} ({task.name}) was cancelled"
         )
@@ -364,10 +364,8 @@ class WorkStealingExecutor:
             self._deques[worker].push(clone)
             self._pending += 1
             self._high_water = max(self._high_water, self._pending)
-            self.events.append(SchedEvent(
-                self._event_step(worker), worker, "backup", clone.task_id,
-                f"of=t{primary.task_id}",
-            ))
+            self._record(worker, "backup", clone.task_id,
+                         f"of=t{primary.task_id}")
         telemetry.instant("sched.spec.backup", task=primary.task_id,
                           backup=clone.task_id, worker=worker)
         telemetry.inc("sched.spec.backups_launched")
@@ -392,9 +390,7 @@ class WorkStealingExecutor:
             worker = self._deal_rng.randrange(self.n_workers)
             task.taken = False            # re-armed now that it has a home
             self._deques[worker].push(task)
-            self.events.append(SchedEvent(
-                self._event_step(worker), worker, "deal", task.task_id
-            ))
+            self._record(worker, "deal", task.task_id)
 
     def _acquire_locked(self, worker: int) -> tuple[Task, str, str] | None:
         """One acquisition attempt for ``worker`` (caller holds the lock):

@@ -22,8 +22,8 @@ from repro import workloads as registry
 
 __all__ = ["workload_names", "run_workload"]
 
-#: Small deterministic corpus for the MapReduce workloads.
-_DOCUMENTS: tuple[tuple[int, str], ...] = (
+#: Small deterministic corpus for the MapReduce trace and chaos workloads.
+DOCUMENTS: tuple[tuple[int, str], ...] = (
     (0, "the fork joins the team and the team joins the fork"),
     (1, "a barrier waits for every thread every time"),
     (2, "map shuffle reduce map shuffle reduce"),
@@ -68,17 +68,17 @@ def _run_mapreduce(threads: int) -> str:
         n_workers=threads,
         failures=[TaskFailure("map", 0, 0), TaskFailure("reduce", 1, 0)],
     )
-    result = engine.run(word_count_job(n_reduce_tasks=4), list(_DOCUMENTS))
+    result = engine.run(word_count_job(n_reduce_tasks=4), list(DOCUMENTS))
     counted = dict(result.output)
 
     # Cross-check on the OpenMP runtime: each team member counts one
     # slice of the corpus; a critical section merges the partials.
-    omp = OpenMP(num_threads=min(threads, len(_DOCUMENTS)))
+    omp = OpenMP(num_threads=min(threads, len(DOCUMENTS)))
     merged: dict[str, int] = {}
 
     def body(ctx) -> None:
         partial: dict[str, int] = {}
-        for doc_id, text in _DOCUMENTS:
+        for doc_id, text in DOCUMENTS:
             if doc_id % ctx.num_threads == ctx.thread_num:
                 for word in tokenize(text):
                     partial[word] = partial.get(word, 0) + 1
@@ -91,7 +91,7 @@ def _run_mapreduce(threads: int) -> str:
     if merged != counted:
         raise AssertionError("OpenMP cross-check disagrees with MapReduce")
     return (
-        f"word count over {len(_DOCUMENTS)} documents: "
+        f"word count over {len(DOCUMENTS)} documents: "
         f"{len(result.output)} distinct words, {result.retries} retried "
         f"task(s), OpenMP cross-check ok"
     )
@@ -106,7 +106,7 @@ def _run_stragglers(threads: int) -> str:
         straggler_wait_s=0.02,
         slow_tasks=[SlowTask(task_index=0, delay_s=0.2)],
     )
-    outcome = engine.run(word_count_job(n_reduce_tasks=2), list(_DOCUMENTS))
+    outcome = engine.run(word_count_job(n_reduce_tasks=2), list(DOCUMENTS))
     return (
         f"speculative word count: {outcome.backups_launched} backup(s) "
         f"launched, {outcome.backups_won} won"

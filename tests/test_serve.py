@@ -3,7 +3,7 @@
 The service-level tests drive :class:`JobService` directly; the HTTP
 tests run a real :class:`BackgroundServer` on a free port and speak
 ``http.client`` at it — the same stack ``python -m repro serve``
-exposes and the serve benchmark hammers.
+exposes.
 """
 
 from __future__ import annotations
@@ -316,6 +316,34 @@ def test_http_submit_poll_result_and_warm_cache_hit(server):
     assert "serve_job_latency_us_count" in text    # histogram exposition
 
 
+def test_concurrent_resubmits_of_a_finished_spec_are_all_cache_hits(server):
+    port = server.port
+    status, body = _request(port, "POST", "/jobs", body=_SPEC)
+    assert status == 202
+    assert _poll_done(port, body["id"])["state"] == "done"
+
+    clients = 16
+    barrier = threading.Barrier(clients)
+    replies = [None] * clients
+
+    def client(index):
+        barrier.wait()
+        replies[index] = _request(port, "POST", "/jobs", body=_SPEC)
+
+    threads = [threading.Thread(target=client, args=(i,))
+               for i in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert [(status, reply["cached"], reply["state"])
+            for status, reply in replies] == [(200, True, "done")] * clients
+    status, metrics = _request(port, "GET", "/metrics?format=json")
+    assert status == 200
+    assert metrics["serve.jobs.cached"] == clients
+    assert metrics["serve.jobs.submitted"] == clients + 1
+
+
 def test_http_streaming_follow_ends_at_terminal_state(server):
     status, body = _request(server.port, "POST", "/jobs", body={
         "mode": "trace", "workload": "barrier", "params": {"threads": 4}})
@@ -430,6 +458,16 @@ def test_service_session_collects_metrics_and_keeps_no_trace(make_service):
     snapshot = service.metrics_snapshot()
     assert snapshot["serve.jobs.completed"] == 4
     assert snapshot["sched.tasks.submitted"] > 0     # from inside the jobs
+
+
+def test_serving_executor_keeps_no_sched_events(make_service):
+    # The serving executor's event log is never read; it must not grow
+    # with every job.
+    service = make_service(workers=2, backlog=8)
+    jobs = [service.submit("sched", "mapreduce", {"seed": seed})
+            for seed in range(6)]
+    assert [_wait(job) for job in jobs] == ["done"] * 6
+    assert service.executor.events == []
 
 
 def test_service_inside_a_callers_session_keeps_its_spans(make_service):
