@@ -7,26 +7,17 @@ recovery is re-executed *tasks*, never a stalled job — and with no plan
 active the injection hooks cost one ``is None`` branch per site, so the
 fault-free path stays at its pre-chaos speed.
 
-Run as a script (``python benchmarks/bench_faults.py``) it measures
-both modes directly and writes a ``BENCH_faults.json`` trajectory
-point: baseline seconds, chaos seconds, recovery overhead ratio, and
-injected/recovered counts for the canonical seed-7 scenario.
+``python -m repro bench faults`` times the same two jobs
+(:mod:`repro.faults.bench`) and writes the ``BENCH_faults.json`` point.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
-
 import pytest
 
 from repro import faults
-from repro.faults.chaos import named_plan, run_chaos
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.jobs import word_count_job
-
-_DOCS = [(i, "alpha beta gamma delta " * 8) for i in range(8)]
+from repro.faults.bench import chaotic_job, fault_free_job
+from repro.faults.chaos import run_chaos
 
 
 @pytest.fixture(autouse=True)
@@ -36,31 +27,18 @@ def _faults_off():
     faults.disable()
 
 
-def _fault_free_job():
-    engine = MapReduceEngine(n_workers=4, max_attempts=4)
-    return engine.run(word_count_job(n_reduce_tasks=4), list(_DOCS))
-
-
-def _chaotic_job():
-    plan = named_plan("mapreduce", seed=7)
-    engine = MapReduceEngine(n_workers=4, max_attempts=4)
-    with faults.inject(plan) as injector:
-        result = engine.run(word_count_job(n_reduce_tasks=4), list(_DOCS))
-    return result, injector
-
-
 def test_mapreduce_fault_free_baseline(benchmark):
     """Baseline: no plan active, hooks are a single branch each."""
     assert not faults.is_enabled()
-    result = benchmark(_fault_free_job)
+    result = benchmark(fault_free_job)
     assert result.retries == 0
 
 
 def test_mapreduce_recovery_overhead(benchmark):
     """Seed-7 chaos: worker deaths + shuffle corruption, recovered by
     re-execution.  The job must still finish with the right answer."""
-    result, injector = benchmark(_chaotic_job)
-    reference = _fault_free_job()
+    result, injector = benchmark(chaotic_job)
+    reference = fault_free_job()
     assert result.output == reference.output
     assert injector.counts_by_kind().get("crash", 0) >= 1
 
@@ -69,40 +47,3 @@ def test_chaos_scenario_end_to_end(benchmark):
     """The full CLI-shaped scenario (plan + job + verification)."""
     report = benchmark(lambda: run_chaos("mapreduce", seed=7))
     assert report.ok and report.injected_total >= 2
-
-
-def _measure(fn, repeats: int = 7) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def main(out_path: str = "BENCH_faults.json") -> dict:
-    faults.disable()
-    baseline_s = _measure(_fault_free_job)
-    chaos_s = _measure(_chaotic_job)
-    report = run_chaos("mapreduce", seed=7)
-    point = {
-        "bench": "faults",
-        "workload": "mapreduce word count (8 docs, 4 workers)",
-        "seed": 7,
-        "baseline_s": round(baseline_s, 6),
-        "chaos_s": round(chaos_s, 6),
-        "recovery_overhead_ratio": round(chaos_s / baseline_s, 3),
-        "injected": report.injected_by_kind,
-        "recovered": report.recovered,
-        "ok": report.ok,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(point, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(point, indent=2, sort_keys=True))
-    return point
-
-
-if __name__ == "__main__":
-    main()

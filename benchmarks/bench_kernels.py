@@ -8,10 +8,9 @@ scalar twin at the benchmark sizes, and chunked scheduler dispatch
 beats one-task-per-ligand (the per-task bookkeeping is paid once per
 chunk).
 
-Run as a script (``python benchmarks/bench_kernels.py``) it delegates to
-:func:`repro.kernels.bench.run_kernels_bench` — the same measurement
-behind ``python -m repro bench kernels`` — and writes the
-``BENCH_kernels.json`` trajectory point.
+``python -m repro bench kernels`` (:mod:`repro.kernels.bench`) times
+the same pairs at larger sizes and writes the ``BENCH_kernels.json``
+point.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro import kernels
 from repro.drugdesign.ligands import DEFAULT_PROTEIN, generate_ligands
 from repro.kernels import lcs as lcs_kernels
 from repro.kernels import stencil as stencil_kernels
-from repro.kernels.bench import render_point, run_kernels_bench
 from repro.stats.bootstrap import bootstrap_ci
 
 _LIGANDS = generate_ligands(120, 7, seed=500)
@@ -123,13 +121,3 @@ def test_bootstrap_median_partition_kernel(benchmark):
     assert (ci.low, ci.estimate, ci.high) == (
         oracle.low, oracle.estimate, oracle.high
     )
-
-
-def main(out_path: str = "BENCH_kernels.json", quick: bool = False) -> dict:
-    point = run_kernels_bench(quick=quick, out_path=out_path)
-    print(render_point(point))
-    return point
-
-
-if __name__ == "__main__":
-    main()

@@ -8,49 +8,30 @@ of determinism is bookkeeping, never a stalled phase; steals occur
 (the balancing actually happens); and a content-addressed warm run is
 dramatically faster than its cold run because it executes nothing.
 
-Run as a script (``python benchmarks/bench_sched.py``) it measures all
-three directly and writes a ``BENCH_sched.json`` trajectory point:
-pool vs scheduler seconds, steal rate, queue high-water depth, and the
-cold/warm cache ratio for the canonical seed-7 workload.
+``python -m repro bench sched`` times the same jobs
+(:mod:`repro.sched.bench`) and writes the ``BENCH_sched.json`` point.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
 import tempfile
-import time
 
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.jobs import word_count_job
 from repro.sched import ResultCache, WorkStealingExecutor
+from repro.sched.bench import pool_job, sched_job
 from repro.sched.workloads import run_sched_workload
-
-_DOCS = [(i, "alpha beta gamma delta epsilon zeta " * 6) for i in range(12)]
-
-
-def _pool_job():
-    engine = MapReduceEngine(n_workers=4)
-    return engine.run(word_count_job(n_reduce_tasks=4), list(_DOCS))
-
-
-def _sched_job():
-    ex = WorkStealingExecutor(n_workers=4, seed=7)
-    engine = MapReduceEngine(n_workers=4, scheduler=ex)
-    return engine.run(word_count_job(n_reduce_tasks=4), list(_DOCS)), ex
 
 
 def test_pool_dispatch_baseline(benchmark):
     """Baseline: the engine's private ThreadPoolExecutor per phase."""
-    result = benchmark(_pool_job)
+    result = benchmark(pool_job)
     assert result.output
 
 
 def test_scheduler_dispatch(benchmark):
     """The same job through the shared deterministic scheduler; the
     answer must be identical to the pool run's."""
-    result, ex = benchmark(_sched_job)
-    assert result.output == _pool_job().output
+    result, ex = benchmark(sched_job)
+    assert result.output == pool_job().output
     assert ex.stats().executed > 0
 
 
@@ -76,61 +57,3 @@ def test_warm_cache_is_a_hit(benchmark):
                                        cache=ResultCache(directory=tmp))
         )
     assert warm.cache_hits == 1 and warm.cache_misses == 0
-
-
-def _measure(fn, repeats: int = 7) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def main(out_path: str = "BENCH_sched.json") -> dict:
-    pool_s = _measure(_pool_job)
-    sched_s = _measure(lambda: _sched_job())
-    _result, ex = _sched_job()
-    stats = ex.stats().as_dict()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cold_s = _measure(
-            lambda: run_sched_workload(
-                "drugdesign", workers=4, seed=7,
-                cache=ResultCache(directory=tmp)), repeats=1,
-        )
-        warm_s = _measure(
-            lambda: run_sched_workload(
-                "drugdesign", workers=4, seed=7,
-                cache=ResultCache(directory=tmp)),
-        )
-        warm = run_sched_workload("drugdesign", workers=4, seed=7,
-                                  cache=ResultCache(directory=tmp))
-
-    point = {
-        "bench": "sched",
-        "workload": "mapreduce word count (12 docs, 4 workers) + "
-                    "drugdesign cache replay",
-        "seed": 7,
-        "pool_s": round(pool_s, 6),
-        "sched_s": round(sched_s, 6),
-        "dispatch_overhead_ratio": round(sched_s / pool_s, 3),
-        "steal_rate": stats["steal_rate"],
-        "steals": stats["steals"],
-        "queue_high_water": stats["high_water"],
-        "cold_s": round(cold_s, 6),
-        "warm_s": round(warm_s, 6),
-        "warm_speedup": round(cold_s / warm_s, 3) if warm_s else None,
-        "cache_hit_ratio": round(
-            warm.cache_hits / (warm.cache_hits + warm.cache_misses), 3),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(point, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(point, indent=2, sort_keys=True))
-    return point
-
-
-if __name__ == "__main__":
-    main()

@@ -53,21 +53,31 @@ Commands
   and fault-tolerance layers; ``on_complete`` callbacks and ``pipeline``
   jobs persist through the durable store at ``--pipeline-db``.
   SIGINT/SIGTERM drains gracefully.
-- ``bench kernels [--quick] [--out BENCH_kernels.json]`` — time every
-  hot numeric loop scalar vs fast kernel (LCS sweep, batched scheduler
-  dispatch, stencil, bootstrap) and write the trajectory point; exit
-  code reflects whether the fast backend held its ground.
-- ``bench serve [--quick] [--out BENCH_serve.json]`` — load-test the
-  job service with concurrent HTTP clients (cold unique requests, then
-  warm identical ones) and write p50/p99 latency, jobs/sec, and the
-  cache hit rate.
-- ``bench pipeline [--quick] [--out BENCH_pipeline.json]`` — time the
-  durable store's enqueue and lease/complete throughput plus the cold
-  vs resumed pipeline run, and write the trajectory point.
-- ``bench mp [--quick] [--out BENCH_mp.json]`` — race the process-pool
-  backend against the threaded executor on GIL-bound stencil and LCS
-  sweeps, assert the stepping-mode event logs match byte for byte, and
-  write the trajectory point (the ≥2-core speedup gate).
+- ``bench <suite> [--quick] [--out BENCH_<suite>.json]`` — run one
+  benchmark suite of :mod:`repro.benchutil`, print its headline and
+  gates, and write the trajectory point; exit code reflects ``ok``.
+  ``bench --list`` names the suites:
+
+  - ``kernels`` — every hot numeric loop scalar vs fast kernel (LCS
+    sweep, batched scheduler dispatch, stencil, bootstrap);
+  - ``mp`` — the process-pool backend against the threaded executor on
+    GIL-bound stencil and LCS sweeps, plus the byte-identical stepping
+    log (the ≥2-core speedup gate);
+  - ``spec`` — a seeded stall-injection plan with and without
+    speculative execution (speculative p99 must beat the plain arm,
+    results and stepping log identical);
+  - ``pipeline`` — the durable store's enqueue and lease/complete
+    throughput plus the cold vs resumed pipeline run;
+  - ``megacohort`` — the streamed cohort on both executor backends,
+    rows/sec and peak RSS against the full-tensor estimate, gated on
+    the N=124 identity anchor;
+  - ``faults`` — a MapReduce job fault-free vs under the seed-7 chaos
+    plan (recovery overhead);
+  - ``sched`` — pool vs work-stealing dispatch, steals, and the
+    cold/warm result-cache replay.
+- ``bench --trajectory`` — one consolidated table over every
+  ``BENCH_*.json`` point that exists (suite, timestamp, gate, headline
+  metrics).
 - ``megacohort [--n N] [--shards S] [--mode threaded|mp] [--speculate]
   [--seed S] [--tables | --json] [--check-identity]`` — regenerate the paper's
   Tables 1–6 for a population-scale cohort (a million students by
@@ -75,17 +85,6 @@ Commands
   scheduler, never materialising the full response tensor;
   ``--check-identity`` verifies the N=124 single-shard run matches the
   in-memory pipeline byte for byte.
-- ``bench megacohort [--quick] [--out BENCH_megacohort.json]`` — time
-  the streamed cohort on both executor backends, record rows/sec and
-  peak RSS against the full-tensor estimate, and gate on the N=124
-  identity anchor.
-- ``bench spec [--quick] [--out BENCH_spec.json]`` — run a seeded
-  stall-injection plan with and without speculative execution, assert
-  the results and the stepping event log are byte-identical, and gate
-  on speculative p99 task latency beating the non-speculative arm.
-- ``bench --trajectory`` — one consolidated table over every
-  ``BENCH_*.json`` point that exists (suite, timestamp, gate, headline
-  metrics).
 
 Every workload-running subcommand (``trace``/``chaos``/``sched``/
 ``serve``) shares one ``--list`` listing: the unified
@@ -303,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "completion callbacks (default: in-memory)")
     serve.add_argument("--list", action="store_true", dest="list_names")
 
+    from repro.benchutil import SUITES
+
     bench = sub.add_parser(
         "bench", help="run a benchmark suite and write its trajectory point")
     bench.add_argument("suite", nargs="?", default=None,
-                       help=f"benchmark suite name ({', '.join(_BENCH_SUITES)})")
+                       help=f"benchmark suite name ({', '.join(SUITES)})")
     bench.add_argument("--quick", action="store_true",
                        help="small sizes / few repeats (the CI smoke shape)")
     bench.add_argument("--out", default=None,
@@ -689,47 +690,24 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENCH_SUITES = ("kernels", "serve", "pipeline", "mp", "megacohort", "spec")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.benchutil import SUITES, render_point, run_suite
+
     if args.trajectory:
         from repro.reporting.trajectory import render_trajectory
 
         print(render_trajectory())
         return 0
     if args.list_names or args.suite is None:
-        print("available bench suites: " + ", ".join(_BENCH_SUITES))
+        print("available bench suites: " + ", ".join(SUITES))
         return 0
-    if args.suite not in _BENCH_SUITES:
+    suite = SUITES.get(args.suite)
+    if suite is None:
         print(f"unknown bench suite {args.suite!r}; try --list")
         return 2
-    out_path = args.out or f"BENCH_{args.suite}.json"
-    if args.suite == "kernels":
-        from repro.kernels.bench import render_point, run_kernels_bench
-
-        point = run_kernels_bench(quick=args.quick, out_path=out_path)
-    elif args.suite == "pipeline":
-        from repro.pipeline.bench import render_point, run_pipeline_bench
-
-        point = run_pipeline_bench(quick=args.quick, out_path=out_path)
-    elif args.suite == "mp":
-        from repro.kernels.mpbench import render_point, run_mp_bench
-
-        point = run_mp_bench(quick=args.quick, out_path=out_path)
-    elif args.suite == "megacohort":
-        from repro.megacohort.bench import render_point, run_megacohort_bench
-
-        point = run_megacohort_bench(quick=args.quick, out_path=out_path)
-    elif args.suite == "spec":
-        from repro.sched.specbench import render_point, run_spec_bench
-
-        point = run_spec_bench(quick=args.quick, out_path=out_path)
-    else:
-        from repro.serve.bench import render_point, run_serve_bench
-
-        point = run_serve_bench(quick=args.quick, out_path=out_path)
-    print(render_point(point))
+    out_path = args.out or suite.filename
+    point = run_suite(suite, quick=args.quick, out_path=out_path)
+    print(render_point(suite, point))
     print(f"wrote {out_path}")
     return 0 if point["ok"] else 1
 

@@ -27,16 +27,15 @@ than a slow right one:
   (:func:`repro.sched.workloads.run_sched_workload`) must be
   byte-identical between ``mode="threaded"`` and ``mode="mp"``.
 
-Results go to ``BENCH_mp.json``.  ``ok`` requires both identity checks
-always; the speedup gate applies only when the machine actually has
-two or more cores (``cores`` is recorded so CI can tell which gate
-ran) — on a single core a process pool is transport overhead with no
-parallelism to buy it back.
+Results go to ``BENCH_mp.json`` through :mod:`repro.benchutil`.  The
+identity gate always applies; the speedup gates apply only when the
+machine actually has two or more cores (``cores`` is recorded so CI can
+tell which gate ran) — on a single core a process pool is transport
+overhead with no parallelism to buy it back.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
@@ -44,7 +43,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.benchutil import peak_rss_bytes
+from repro.benchutil import peak_rss_bytes, stepping_logs_identical
 from repro.config import resolve_mp_workers
 from repro.drugdesign.ligands import DEFAULT_PROTEIN, generate_ligands
 from repro.kernels.lcs import lcs_scores_python
@@ -52,7 +51,7 @@ from repro.kernels.stencil import heat_steps_python
 from repro.sched.core import Call
 from repro.sched.executor import WorkStealingExecutor
 
-__all__ = ["run_mp_bench", "render_point"]
+__all__ = ["measure"]
 
 
 def _noop() -> None:
@@ -129,34 +128,17 @@ def _lcs_tasks(n_ligands: int, max_ligand: int, chunk: int) -> Callable[[], list
     return make
 
 
-def _stepping_logs_identical(workers: int, seed: int) -> bool:
-    """Full drug-design stepping report, threaded vs mp, byte for byte."""
-    from repro.sched.workloads import run_sched_workload
-
-    renders = [
-        run_sched_workload("drugdesign", workers=workers, seed=seed,
-                           mode=mode).render()
-        for mode in ("threaded", "mp")
-    ]
-    return renders[0] == renders[1]
-
-
-def run_mp_bench(
-    quick: bool = False, out_path: str | None = "BENCH_mp.json"
-) -> dict[str, Any]:
-    """Run the mp-vs-threaded benchmark; write and return the point.
+def measure(quick: bool = False) -> dict[str, Any]:
+    """Run the mp-vs-threaded benchmark and return the raw point.
 
     ``quick`` shrinks sizes and repeats for the CI smoke step; the work
     per task stays large enough that the pickle hop does not dominate.
     """
     repeats = 3 if quick else 5
     workers = resolve_mp_workers()
-    cores = os.cpu_count() or 1
     point: dict[str, Any] = {
-        "bench": "mp",
-        "quick": quick,
         "workers": workers,
-        "cores": cores,
+        "cores": os.cpu_count() or 1,
     }
     point.update(_bench_pair(
         "stencil", workers,
@@ -172,55 +154,10 @@ def run_mp_bench(
                    chunk=12),
         repeats,
     ))
-    point["stepping_log_identical"] = _stepping_logs_identical(
-        workers=workers, seed=7
+    point["stepping_log_identical"] = stepping_logs_identical(
+        workers=workers, seed=7, mode="mp"
     )
     # High-water mark over both arms, children included (the pool's
     # workers have been joined by close()); informational, not a gate.
     point["peak_rss_bytes"] = peak_rss_bytes()
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    identical = bool(
-        point["stencil_identical"]
-        and point["lcs_identical"]
-        and point["stepping_log_identical"]
-    )
-    # The speedup gate needs parallel hardware; identity never does.
-    # ``gate_applied`` records honestly whether the speedup gate ran —
-    # a single-core ``ok`` certifies identity only, and the trajectory
-    # table renders it as a skipped gate, not a pass.
-    point["gate_applied"] = cores >= 2
-    faster = bool(
-        not point["gate_applied"]
-        or (point["stencil_speedup"] >= 1.0 and point["lcs_speedup"] >= 1.0)
-    )
-    point["ok"] = identical and faster
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return point
-
-
-def render_point(point: dict[str, Any]) -> str:
-    """The benchmark point as the aligned table the CLI prints."""
-    rows = [
-        ("stencil rods (threaded)", point["stencil_threaded_s"], 1.0),
-        ("stencil rods (process pool)", point["stencil_mp_s"],
-         point["stencil_speedup"]),
-        ("lcs sweep (threaded)", point["lcs_threaded_s"], 1.0),
-        ("lcs sweep (process pool)", point["lcs_mp_s"],
-         point["lcs_speedup"]),
-    ]
-    lines = [
-        f"mp bench (quick={point['quick']}): workers={point['workers']} "
-        f"cores={point['cores']} ok={point['ok']}",
-        f"  results identical: stencil={point['stencil_identical']} "
-        f"lcs={point['lcs_identical']} "
-        f"stepping_log={point['stepping_log_identical']}",
-    ]
-    for label, seconds, speedup in rows:
-        lines.append(f"  {label:34s} {seconds * 1e3:9.2f} ms  {speedup:6.1f}x")
-    return "\n".join(lines)

@@ -12,16 +12,16 @@ the configuration every pipeline run uses, not ``:memory:``):
   execute) vs resumed over the same store (all four checkpoints replay),
   plus the byte-identity check between the two outputs.
 
-Results go to ``BENCH_pipeline.json``; ``ok`` is true when every job
-reached ``done``, the resumed run was byte-identical to the cold run,
-and the resume cost less than the cold run — the CI smoke gate.
+Results go to ``BENCH_pipeline.json`` through :mod:`repro.benchutil`,
+whose gates pass when every job reached ``done``, the resumed run was
+byte-identical to the cold run, and the resume cost less than the cold
+run — the CI smoke gate.
 Absolute throughput is machine- (and fsync-) dependent; the cold/resume
 ratio and the identity bit are the point.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -31,9 +31,12 @@ from typing import Any
 from repro.pipeline.store import JobStore
 from repro.pipeline.workloads import run_pipeline_workload
 
-__all__ = ["run_pipeline_bench", "render_point"]
+__all__ = ["measure"]
 
 _LEASE_BATCH = 32
+#: Pipeline workers and seed of the cold and resumed runs.
+_WORKERS = 4
+_SEED = 7
 
 
 def _bench_enqueue(store: JobStore, n_jobs: int) -> dict[str, Any]:
@@ -73,22 +76,11 @@ def _bench_lease_complete(store: JobStore) -> dict[str, Any]:
     }
 
 
-def run_pipeline_bench(
-    quick: bool = False,
-    out_path: str | None = "BENCH_pipeline.json",
-    workers: int = 4,
-    seed: int = 7,
-) -> dict[str, Any]:
-    """Run the store + resume benchmark; write and return the point."""
+def measure(quick: bool = False) -> dict[str, Any]:
+    """Run the store + resume benchmark and return the raw point."""
     n_jobs = 200 if quick else 2000
     params = {"ligands": 16 if quick else 48}
     workdir = tempfile.mkdtemp(prefix="repro-pipeline-bench-")
-    point: dict[str, Any] = {
-        "bench": "pipeline",
-        "quick": quick,
-        "workers": workers,
-        "seed": seed,
-    }
     try:
         with JobStore(os.path.join(workdir, "throughput.db")) as store:
             enqueue = _bench_enqueue(store, n_jobs)
@@ -98,20 +90,21 @@ def run_pipeline_bench(
         with JobStore(os.path.join(workdir, "resume.db")) as store:
             cold_started = time.perf_counter()
             cold = run_pipeline_workload(
-                "drugdesign", store, workers=workers, seed=seed,
+                "drugdesign", store, workers=_WORKERS, seed=_SEED,
                 resume=False, params=params,
             )
             cold_s = time.perf_counter() - cold_started
         with JobStore(os.path.join(workdir, "resume.db")) as store:
             resumed_started = time.perf_counter()
             resumed = run_pipeline_workload(
-                "drugdesign", store, workers=workers, seed=seed,
+                "drugdesign", store, workers=_WORKERS, seed=_SEED,
                 resume=True, params=params,
             )
             resumed_s = time.perf_counter() - resumed_started
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
+    point: dict[str, Any] = {"workers": _WORKERS, "seed": _SEED}
     point.update({f"enqueue_{key}": value for key, value in enqueue.items()})
     point.update({f"drain_{key}": value for key, value in drain.items()})
     point.update({
@@ -122,46 +115,4 @@ def run_pipeline_bench(
         "resumed_stages": resumed.resumed_stages,
         "byte_identical": cold.output == resumed.output,
     })
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    point["gate_applied"] = True       # durability gates run on any core count
-    point["ok"] = bool(
-        point["enqueue_created"] == point["enqueue_jobs"]
-        and point["drain_jobs"] == point["enqueue_jobs"]
-        and point["store_done"] == point["enqueue_jobs"]
-        and point["byte_identical"]
-        and point["resumed_stages"] == 4
-        and point["resumed_s"] <= point["cold_s"]
-    )
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return point
-
-
-def render_point(point: dict[str, Any]) -> str:
-    """The benchmark point as the aligned table the CLI prints."""
-    lines = [
-        f"pipeline bench (quick={point['quick']}): "
-        f"{point['enqueue_jobs']} store jobs, {point['workers']} workers, "
-        f"ok={point['ok']}"
-    ]
-    lines.append(
-        f"  enqueue        {point['enqueue_jobs_per_s']:9.1f} jobs/s  "
-        f"({point['enqueue_created']}/{point['enqueue_jobs']} created)"
-    )
-    lines.append(
-        f"  lease+complete {point['drain_jobs_per_s']:9.1f} jobs/s  "
-        f"({point['drain_jobs']} drained, {point['store_done']} done)"
-    )
-    lines.append(
-        f"  resume         cold {point['cold_s'] * 1e3:8.1f} ms   resumed "
-        f"{point['resumed_s'] * 1e3:8.1f} ms   "
-        f"({point['resume_speedup']:.1f}x, "
-        f"{point['resumed_stages']} stages replayed, "
-        f"byte_identical={point['byte_identical']})"
-    )
-    return "\n".join(lines)

@@ -2,81 +2,34 @@
 
 Every benchmark suite writes one ``BENCH_<suite>.json`` point at the
 repo root; this module reads whichever of them exist and renders one
-table — suite, when it ran, whether its gate passed, and a curated
-headline metric per suite — so the performance story of the whole repo
-fits on one screen without opening six JSON files.  A point whose
-perf gate never ran (``gate_applied`` false — e.g. a single-core box
-skips a speedup comparison) renders its status as ``—``, not ``ok``:
-an unearned pass is the one thing a trajectory must never show.
+table — suite, when it ran, whether its gate passed, and the suite's
+headline metrics from :data:`repro.benchutil.SUITES` — so the
+performance story of the whole repo fits on one screen without opening
+every JSON file.  A point whose perf gate never ran (``gate_applied``
+false — e.g. a single-core box skips a speedup comparison) renders its
+status as ``—``, not ``ok``: an unearned pass is the one thing a
+trajectory must never show.
 
-Suites are described declaratively in :data:`SUITES`: the filename and
-the (key, label, format) of the headline metrics to surface.  A missing
-file renders as an ``absent`` row (run ``python -m repro bench
-<suite>`` to produce it); a metric a point predates renders as ``-`` —
-old points stay readable as suites grow new keys.
+A missing or unreadable file renders as an ``absent`` row (run
+``python -m repro bench <suite>`` to produce it).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["SUITES", "load_points", "render_trajectory"]
+from repro.benchutil import SUITES, headline
 
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    """One suite's file and its headline metrics."""
-
-    name: str
-    filename: str
-    #: (json key, short label, printf-style format for the value)
-    metrics: tuple[tuple[str, str, str], ...]
-
-
-SUITES: tuple[SuiteSpec, ...] = (
-    SuiteSpec("kernels", "BENCH_kernels.json", (
-        ("stencil_speedup", "stencil", "%.1fx"),
-        ("lcs_batched_speedup", "lcs", "%.1fx"),
-        ("bootstrap_speedup", "bootstrap", "%.1fx"),
-        ("dispatch_speedup", "dispatch", "%.1fx"),
-    )),
-    SuiteSpec("mp", "BENCH_mp.json", (
-        ("stencil_speedup", "stencil", "%.2fx"),
-        ("lcs_speedup", "lcs", "%.2fx"),
-        ("cores", "cores", "%d"),
-    )),
-    SuiteSpec("spec", "BENCH_spec.json", (
-        ("base_p99_s", "p99-plain", "%.3fs"),
-        ("spec_p99_s", "p99-spec", "%.3fs"),
-        ("backups_won", "won", "%d"),
-    )),
-    SuiteSpec("pipeline", "BENCH_pipeline.json", (
-        ("enqueue_jobs_per_s", "enqueue", "%.0f/s"),
-        ("drain_jobs_per_s", "drain", "%.0f/s"),
-        ("resume_speedup", "resume", "%.1fx"),
-    )),
-    SuiteSpec("serve", "BENCH_serve.json", (
-        ("cold_jobs_per_s", "cold", "%.0f/s"),
-        ("warm_jobs_per_s", "warm", "%.0f/s"),
-        ("warm_hit_rate", "hit", "%.2f"),
-    )),
-    SuiteSpec("megacohort", "BENCH_megacohort.json", (
-        ("n", "rows", "%d"),
-        ("threaded_rows_per_s", "threaded", "%.0f/s"),
-        ("mp_rows_per_s", "mp", "%.0f/s"),
-        ("rss_fraction_of_full_tensor", "rss", "%.3fx"),
-    )),
-)
+__all__ = ["load_points", "render_trajectory"]
 
 
 def load_points(root: str = ".") -> dict[str, dict[str, Any] | None]:
     """Read every suite's point; ``None`` marks an absent or unreadable
     file (never raises — the trajectory degrades, it does not fail)."""
     points: dict[str, dict[str, Any] | None] = {}
-    for suite in SUITES:
+    for suite in SUITES.values():
         path = os.path.join(root, suite.filename)
         try:
             with open(path, encoding="utf-8") as handle:
@@ -87,21 +40,11 @@ def load_points(root: str = ".") -> dict[str, dict[str, Any] | None]:
     return points
 
 
-def _metric_cell(point: dict[str, Any], key: str, fmt: str) -> str:
-    value = point.get(key)
-    if value is None:
-        return "-"
-    try:
-        return fmt % value
-    except (TypeError, ValueError):
-        return str(value)
-
-
 def render_trajectory(root: str = ".") -> str:
     """The one-screen table over every ``BENCH_*.json`` that exists."""
     points = load_points(root)
     rows: list[tuple[str, str, str, str]] = []
-    for suite in SUITES:
+    for suite in SUITES.values():
         point = points[suite.name]
         if point is None:
             rows.append((suite.name, "-", "absent",
@@ -120,24 +63,22 @@ def render_trajectory(root: str = ".") -> str:
         else:
             status = "ok"
         when = str(point.get("timestamp", "-"))
-        headline = "  ".join(
-            f"{label}={_metric_cell(point, key, fmt)}"
-            for key, label, fmt in suite.metrics
-        )
-        rows.append((suite.name, when, status, headline))
+        cells = "  ".join(f"{label}={cell}"
+                          for label, cell in headline(suite, point))
+        rows.append((suite.name, when, status, cells))
 
     name_w = max(len(r[0]) for r in rows)
     when_w = max(len(r[1]) for r in rows)
     stat_w = max(len(r[2]) for r in rows)
-    present = sum(1 for s in SUITES if points[s.name] is not None)
+    present = sum(1 for point in points.values() if point is not None)
     lines = [
         f"bench trajectory: {present}/{len(SUITES)} suites have points",
         "-" * 72,
     ]
-    for name, when, status, headline in rows:
+    for name, when, status, cells in rows:
         lines.append(
             f"{name:<{name_w}}  {when:<{when_w}}  {status:<{stat_w}}  "
-            f"{headline}"
+            f"{cells}"
         )
     lines.append("-" * 72)
     return "\n".join(lines)

@@ -35,22 +35,23 @@ full stall; the committed ``BENCH_spec.json`` uses the real clock.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import threading
-import time
 from typing import Any
 
+from repro.benchutil import stepping_logs_identical
 from repro.faults.clock import SYSTEM_CLOCK
 from repro.sched.core import Call
 from repro.sched.executor import WorkStealingExecutor
 from repro.sched.spec import SpecPolicy, is_backup, obsolete_event
 
-__all__ = ["render_point", "run_spec_bench", "stall_plan"]
+__all__ = ["measure", "stall_plan"]
 
 #: Executor width for both arms (threads; stalls release the GIL).
 _WORKERS = 4
+#: Seed of the stall plan and of the stepping-log comparison.
+_SEED = 7
 
 
 def stall_plan(seed: int, n_tasks: int, n_stalls: int,
@@ -131,25 +132,8 @@ def _run_arm(
     }
 
 
-def _stepping_logs_identical(workers: int, seed: int) -> bool:
-    """Drug-design stepping report, plain vs speculative, byte for byte."""
-    from repro.sched.workloads import run_sched_workload
-
-    renders = [
-        run_sched_workload("drugdesign", workers=workers, seed=seed,
-                           speculate=speculate).render()
-        for speculate in (False, True)
-    ]
-    return renders[0] == renders[1]
-
-
-def run_spec_bench(
-    quick: bool = False,
-    out_path: str | None = "BENCH_spec.json",
-    clock: Any = None,
-    seed: int = 7,
-) -> dict[str, Any]:
-    """Run the speculation benchmark; write and return the point.
+def measure(quick: bool = False, clock: Any = None) -> dict[str, Any]:
+    """Run the speculation benchmark and return the raw point.
 
     ``quick`` shrinks the batch and the stall for the CI smoke step.
     ``clock`` (tests) swaps in a scaled clock so the stall is nominal
@@ -160,17 +144,15 @@ def run_spec_bench(
     n_tasks = 24 if quick else 48
     n_stalls = 2 if quick else 3
     stall_s = 0.35 if quick else 0.8
-    stalls = stall_plan(seed, n_tasks, n_stalls, stall_s)
+    stalls = stall_plan(_SEED, n_tasks, n_stalls, stall_s)
     arms = {
         label: _run_arm(speculate, n_tasks, stalls, clock,
                         spec_k=2.0, min_age_s=0.05)
         for label, speculate in (("base", False), ("spec", True))
     }
     point: dict[str, Any] = {
-        "bench": "spec",
-        "quick": quick,
         "workers": _WORKERS,
-        "seed": seed,
+        "seed": _SEED,
         "n_tasks": n_tasks,
         "n_stalls": n_stalls,
         "stall_s": stall_s,
@@ -184,49 +166,7 @@ def run_spec_bench(
     point["backup_time_saved_s"] = arms["spec"]["backup_time_saved_s"]
     point["base_backups_launched"] = arms["base"]["backups_launched"]
     point["results_identical"] = arms["base"]["values"] == arms["spec"]["values"]
-    point["stepping_log_identical"] = _stepping_logs_identical(
-        workers=4, seed=seed
+    point["stepping_log_identical"] = stepping_logs_identical(
+        workers=4, seed=_SEED, speculate=True
     )
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    tail_cut = bool(
-        point["spec_p99_s"] < point["base_p99_s"]
-        and point["backups_launched"] >= 1
-        and point["backups_won"] >= 1
-        and point["base_backups_launched"] == 0
-    )
-    identical = bool(
-        point["results_identical"] and point["stepping_log_identical"]
-    )
-    # A wait-driven stall needs no parallel hardware: the gate always
-    # applies, on any core count.
-    point["gate_applied"] = True
-    point["ok"] = identical and tail_cut
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return point
-
-
-def render_point(point: dict[str, Any]) -> str:
-    """The benchmark point as the aligned table the CLI prints."""
-    lines = [
-        f"spec bench (quick={point['quick']}): workers={point['workers']} "
-        f"tasks={point['n_tasks']} stalls={point['n_stalls']}"
-        f"x{point['stall_s']}s ok={point['ok']}",
-        f"  results identical: values={point['results_identical']} "
-        f"stepping_log={point['stepping_log_identical']}",
-        f"  backups: launched={point['backups_launched']} "
-        f"won={point['backups_won']} "
-        f"time_saved={point['backup_time_saved_s']:.3f}s",
-    ]
-    for label, title in (("base", "plain"), ("spec", "speculative")):
-        lines.append(
-            f"  {title:34s} p50 {point[f'{label}_p50_s'] * 1e3:9.2f} ms  "
-            f"p99 {point[f'{label}_p99_s'] * 1e3:9.2f} ms  "
-            f"wall {point[f'{label}_wall_s'] * 1e3:9.2f} ms"
-        )
-    return "\n".join(lines)

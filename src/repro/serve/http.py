@@ -378,9 +378,9 @@ class ServeApp:
 class BackgroundServer:
     """An in-process server on its own event-loop thread.
 
-    The shape both the tests and ``bench serve`` need: start, read the
-    bound port (``port=0`` picks a free one), hammer it from client
-    threads, stop.  The CLI path (``python -m repro serve``) runs the
+    The shape both the tests and the repo benchmark's ``serve_mix``
+    need: start, read the bound port (``port=0`` picks a free one),
+    hammer it from client threads, stop.  The CLI path (``python -m repro serve``) runs the
     loop in the foreground instead — see ``repro.cli``.
     """
 

@@ -277,21 +277,6 @@ def test_peak_rss_helper_reports_positive_bytes():
     assert format_bytes(512) == "512 B"
 
 
-def test_benchmarks_rss_shim_reexports_canonical_helpers():
-    import importlib.util
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..",
-                        "benchmarks", "_rss.py")
-    spec = importlib.util.spec_from_file_location("bench_rss", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    from repro import benchutil
-
-    assert module.peak_rss_bytes is benchutil.peak_rss_bytes
-    assert module.format_bytes is benchutil.format_bytes
-
-
 def test_trajectory_renders_present_and_absent_suites(tmp_path):
     from repro.reporting.trajectory import render_trajectory
 

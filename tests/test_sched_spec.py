@@ -8,6 +8,8 @@ a few wall milliseconds and CI never real-sleeps.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -262,11 +264,14 @@ def test_trajectory_renders_skipped_gate_as_dash(tmp_path):
 
 
 def test_spec_bench_quick_passes_its_gate(tmp_path):
-    from repro.sched.specbench import run_spec_bench
+    from repro.benchutil import SUITES, run_suite
+    from repro.sched.specbench import measure
 
+    suite = dataclasses.replace(
+        SUITES["spec"],
+        measure=functools.partial(measure, clock=ScaledClock(_SCALE)))
     out = tmp_path / "BENCH_spec.json"
-    point = run_spec_bench(quick=True, out_path=str(out),
-                           clock=ScaledClock(_SCALE))
+    point = run_suite(suite, quick=True, out_path=str(out))
     assert point["ok"] is True
     assert point["gate_applied"] is True
     assert point["results_identical"] is True
