@@ -16,8 +16,7 @@ SEEDS = (2018, 7, 42, 1, 555)
 
 
 def _headline(seed: int) -> dict:
-    result = PBLStudy(seed=seed, execute_programs=False,
-                      simulate_teamwork=False).run()
+    result = PBLStudy(seed=seed, simulate_teamwork=False).run()
     analysis = result.analysis
     return {
         "emphasis_diff": analysis.ttest_emphasis.mean_difference,

@@ -324,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.core import PBLStudy, ReproductionReport
 
-    study = PBLStudy(seed=args.seed, execute_programs=False,
-                     simulate_teamwork=False)
+    study = PBLStudy(seed=args.seed, simulate_teamwork=False)
     result = study.run()
     report = ReproductionReport(analysis=result.analysis, paper=study.paper)
     if args.artifact == "all":
@@ -390,8 +389,7 @@ def _cmd_drugdesign(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.core import PBLStudy, build_experiment_summary, render_markdown
 
-    result = PBLStudy(seed=args.seed, execute_programs=False,
-                      simulate_teamwork=False).run()
+    result = PBLStudy(seed=args.seed, simulate_teamwork=False).run()
     summary = build_experiment_summary(result)
     print(render_markdown(summary))
     return 0 if summary.all_within_tolerance else 1

@@ -5,10 +5,9 @@
 1. generate the cohort with the published marginals and split it into
    the two sections;
 2. form 13 diverse balanced teams per section;
-3. run the course: execute every assignment's parallel programs on the
-   runtime/simulated Pi, and drive each team's teamwork technologies
-   (workspace, repository, report doc, video) so the activity streams
-   exist;
+3. run the course: simulate the gradebook.  Each assignment's parallel
+   programs and each team's teamwork technologies (workspace, repository,
+   report doc, video) run when :class:`StudyResult` is first asked for them;
 4. administer the survey at the mid-point and the end (simulated
    responses from the calibrated latent-trait model);
 5. run the full statistical analysis (Tables 1–6) as a one-shard
@@ -66,6 +65,44 @@ class TeamArtifacts:
     channel: VideoChannel
 
 
+def _team_artifacts(team: Team) -> TeamArtifacts:
+    """Drive the four required technologies for one team (A1's task)."""
+    members = [m.student_id for m in team.members]
+    workspace = Workspace(team_id=team.team_id)
+    workspace.create_channel("general", set(members))
+    for member in members:
+        workspace.post("general", member, f"{member} checking in for A1")
+
+    repo = Repository(name=f"{team.team_id}-pbl")
+    repo.commit("main", members[0], "initial commit", {"README.md": team.team_id})
+    repo.create_branch("a1")
+    repo.commit("a1", members[1 % len(members)], "ground rules",
+                {"ground_rules.md": "work norms; meeting norms"})
+    pr = repo.open_pull_request("a1", members[1 % len(members)], "Assignment 1")
+    repo.merge(pr, approver=members[0])
+
+    doc = CollaborativeDoc(title=f"{team.team_id} report")
+    for i, member in enumerate(members):
+        doc.edit(member, f"section-{i + 1}", f"contribution by {member}")
+
+    channel = VideoChannel(team_id=team.team_id)
+    minutes_each = round(7.0 / len(members), 2)
+    video = Video(
+        title=f"{team.team_id} A1 presentation",
+        assignment_number=1,
+        segments=tuple(
+            Segment(speaker=m, minutes=minutes_each,
+                    points_covered=REQUIRED_POINTS)
+            for m in members
+        ),
+    )
+    channel.upload(video, members)
+    return TeamArtifacts(
+        team_id=team.team_id, workspace=workspace, repository=repo,
+        report=doc, channel=channel,
+    )
+
+
 @dataclass(frozen=True)
 class StudyResult:
     """Everything a study run produces."""
@@ -74,9 +111,7 @@ class StudyResult:
     sections: tuple[Section, Section]
     teams: tuple[Team, ...]
     timeline: Semester
-    program_outputs: Mapping[int, Mapping[str, Any]]   # assignment -> name -> result
-    artifacts: tuple[TeamArtifacts, ...]
-    gradebook: SimulatedGradebook | None
+    gradebook: SimulatedGradebook | None   # None: teamwork not simulated
     calibration: CalibrationResult
     raw: RawScores                      # the generated item tensor
     student_ids: tuple[str, ...]        # its row order (sorted ids)
@@ -88,6 +123,19 @@ class StudyResult:
         """Both waves' typed response sheets, assembled on first read."""
         return assemble_waves(self.raw, team_design_skills_survey(),
                               self.student_ids)
+
+    @cached_property
+    def program_outputs(self) -> Mapping[int, Mapping[str, Any]]:
+        """Assignment number -> program name -> result, run on first read."""
+        return {assignment.number: run_assignment_programs(assignment)
+                for assignment in all_assignments()}
+
+    @cached_property
+    def artifacts(self) -> tuple[TeamArtifacts, ...]:
+        """Each team's teamwork-technology footprint, built on first read."""
+        if self.gradebook is None:
+            return ()
+        return tuple(_team_artifacts(team) for team in self.teams)
 
     @property
     def n_students(self) -> int:
@@ -104,7 +152,6 @@ class PBLStudy:
 
     seed: int = 2018
     paper: PaperTargets = PAPER
-    execute_programs: bool = True
     simulate_teamwork: bool = True
 
     @classmethod
@@ -122,43 +169,6 @@ class PBLStudy:
             )
         return tuple(teams)
 
-    def _team_artifacts(self, team: Team) -> TeamArtifacts:
-        """Drive the four required technologies for one team (A1's task)."""
-        members = [m.student_id for m in team.members]
-        workspace = Workspace(team_id=team.team_id)
-        workspace.create_channel("general", set(members))
-        for member in members:
-            workspace.post("general", member, f"{member} checking in for A1")
-
-        repo = Repository(name=f"{team.team_id}-pbl")
-        repo.commit("main", members[0], "initial commit", {"README.md": team.team_id})
-        repo.create_branch("a1")
-        repo.commit("a1", members[1 % len(members)], "ground rules",
-                    {"ground_rules.md": "work norms; meeting norms"})
-        pr = repo.open_pull_request("a1", members[1 % len(members)], "Assignment 1")
-        repo.merge(pr, approver=members[0])
-
-        doc = CollaborativeDoc(title=f"{team.team_id} report")
-        for i, member in enumerate(members):
-            doc.edit(member, f"section-{i + 1}", f"contribution by {member}")
-
-        channel = VideoChannel(team_id=team.team_id)
-        minutes_each = round(7.0 / len(members), 2)
-        video = Video(
-            title=f"{team.team_id} A1 presentation",
-            assignment_number=1,
-            segments=tuple(
-                Segment(speaker=m, minutes=minutes_each,
-                        points_covered=REQUIRED_POINTS)
-                for m in members
-            ),
-        )
-        channel.upload(video, members)
-        return TeamArtifacts(
-            team_id=team.team_id, workspace=workspace, repository=repo,
-            report=doc, channel=channel,
-        )
-
     # -- the run -----------------------------------------------------------
 
     def run(self) -> StudyResult:
@@ -167,16 +177,8 @@ class PBLStudy:
         teams = self._teams(sections)
         timeline = paper_timeline()
 
-        program_outputs: dict[int, dict[str, Any]] = {}
-        if self.execute_programs:
-            for assignment in all_assignments():
-                program_outputs[assignment.number] = run_assignment_programs(assignment)
-
-        artifacts: tuple[TeamArtifacts, ...] = ()
-        gradebook: SimulatedGradebook | None = None
-        if self.simulate_teamwork:
-            artifacts = tuple(self._team_artifacts(team) for team in teams)
-            gradebook = simulate_gradebook(teams, seed=self.seed)
+        gradebook = (simulate_gradebook(teams, seed=self.seed)
+                     if self.simulate_teamwork else None)
 
         # Survey simulation: calibrate the response model to the paper's
         # published statistics, then generate raw item-level responses.
@@ -198,8 +200,6 @@ class PBLStudy:
             sections=sections,
             teams=teams,
             timeline=timeline,
-            program_outputs=program_outputs,
-            artifacts=artifacts,
             gradebook=gradebook,
             calibration=calibration,
             raw=raw,

@@ -171,6 +171,8 @@ class RaceDetector:
                 for key in classes
             }
             for i, key in enumerate(keys):
+                if not partners[key]:
+                    continue
                 # Later partners in ascending order, as the pairwise scan
                 # met them, so ``limit`` cuts the list at the same place.
                 tails = [

@@ -20,9 +20,8 @@ Two execution modes share all of that machinery:
   byte-identically across processes and ``PYTHONHASHSEED`` values — the
   property ``python -m repro sched`` demonstrates and the tests pin.
 - ``deterministic=False`` — real worker threads for wall-clock
-  concurrency (the mode ``benchmarks/bench_sched.py`` measures against
-  the per-runtime thread pools).  Same deques, same seeded steal order;
-  the log is rendered sorted because arrival order is genuinely racy.
+  concurrency, the mode the job service runs.  Same deques, same seeded
+  steal order; the log is rendered sorted because arrival order is racy.
 
 Orthogonal to both scheduling modes is the **execution vehicle**
 (``mode``): ``"threaded"`` runs task bodies in-process; ``"mp"`` ships

@@ -127,8 +127,7 @@ def _assert_matches_oracle(product: StudyAnalysis, oracle: StudyAnalysis) -> Non
 
 @pytest.fixture(scope="module", params=SEEDS, ids=[str(s) for s in SEEDS])
 def seeded(request):
-    result = PBLStudy(seed=request.param, execute_programs=False,
-                      simulate_teamwork=False).run()
+    result = PBLStudy(seed=request.param, simulate_teamwork=False).run()
     first, second = result.waves["first_half"], result.waves["second_half"]
     return result, first, second, list_analysis(first, second)
 
@@ -149,8 +148,7 @@ def test_adapter_on_study_waves_is_the_study_analysis(seeded):
 
 
 def test_waves_are_assembled_once_on_first_read():
-    result = PBLStudy(seed=2018, execute_programs=False,
-                      simulate_teamwork=False).run()
+    result = PBLStudy(seed=2018, simulate_teamwork=False).run()
     assert "waves" not in vars(result)
     waves = result.waves
     assert result.waves is waves

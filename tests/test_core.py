@@ -57,18 +57,36 @@ class TestStudyRun:
         assert artifact.repository.files_at("main")
         assert artifact.channel.videos[0].minutes >= 5.0
 
+    def test_course_programs_and_artifacts_run_on_first_read(self, monkeypatch):
+        from repro.core import study as study_mod
+        calls = []
+
+        def counting(assignment):
+            calls.append(assignment.number)
+            return {}
+
+        monkeypatch.setattr(study_mod, "run_assignment_programs", counting)
+        result = PBLStudy(seed=2018).run()
+        assert calls == []
+        assert "artifacts" not in vars(result)
+        outputs = result.program_outputs
+        assert calls == [1, 2, 3, 4, 5]
+        assert result.program_outputs is outputs
+        assert calls == [1, 2, 3, 4, 5]      # the second read ran nothing
+        assert len(result.artifacts) == 26
+
     def test_all_hypotheses_supported(self, study_result):
         assert study_result.all_hypotheses_supported
         assert [h.hypothesis for h in study_result.hypotheses] == ["H1", "H2", "H3"]
 
     def test_deterministic_for_seed(self):
-        a = PBLStudy(seed=2018, execute_programs=False, simulate_teamwork=False).run()
-        b = PBLStudy(seed=2018, execute_programs=False, simulate_teamwork=False).run()
+        a = PBLStudy(seed=2018, simulate_teamwork=False).run()
+        b = PBLStudy(seed=2018, simulate_teamwork=False).run()
         assert a.analysis.ttest_growth.t == b.analysis.ttest_growth.t
         assert a.analysis.cohens_d_emphasis.d == b.analysis.cohens_d_emphasis.d
 
     def test_different_seed_different_raw_data(self):
-        b = PBLStudy(seed=7, execute_programs=False, simulate_teamwork=False).run()
+        b = PBLStudy(seed=7, simulate_teamwork=False).run()
         assert b.analysis.ttest_growth.t != 0.0
 
 

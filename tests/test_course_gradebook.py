@@ -186,6 +186,6 @@ class TestStudyIntegration:
 
     def test_gradebook_skipped_without_teamwork(self):
         from repro.core import PBLStudy
-        result = PBLStudy(seed=1, execute_programs=False,
-                          simulate_teamwork=False).run()
+        result = PBLStudy(seed=1, simulate_teamwork=False).run()
         assert result.gradebook is None
+        assert result.artifacts == ()
