@@ -8,7 +8,8 @@ speculation — each with its defining property asserted.
 
 from repro.drugdesign import generate_ligands, solve_mpi, solve_sequential
 from repro.drugdesign.ligands import DEFAULT_PROTEIN
-from repro.mapreduce import SlowTask, SpeculativeEngine, word_count_job
+from repro.mapreduce import word_count_job
+from repro.mapreduce.stragglers import SlowTask, SpeculativeEngine
 from repro.mpi import mpi_run, pi_integration
 from repro.openmp import OMPLock, OpenMP, TaskGroup
 

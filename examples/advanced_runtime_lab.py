@@ -13,13 +13,8 @@ from __future__ import annotations
 
 from repro.cohort import form_teams, make_paper_sections
 from repro.course import simulate_gradebook
-from repro.mapreduce import (
-    MapReduceEngine,
-    SlowTask,
-    SpeculativeEngine,
-    distributed_sort_job,
-    word_count_job,
-)
+from repro.mapreduce import MapReduceEngine, distributed_sort_job, word_count_job
+from repro.mapreduce.stragglers import SlowTask, SpeculativeEngine
 from repro.openmp import OMPEnvironment, OMPLock, OpenMP, TaskGroup
 from repro.rpi import ThermalConfig, ThermalModel
 from repro.teamtech import AutomatedRepository, Trigger, Workflow

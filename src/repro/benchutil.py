@@ -11,6 +11,16 @@ rounded point, derive ``gate_applied`` (every gate ran) and ``ok``
 gate that needs hardware the box lacks (a speedup on one core) is not
 applied, so a single-core ``ok`` never claims it.
 
+:func:`render_trajectory` is ``repro bench --trajectory``: it reads
+whichever ``BENCH_<suite>.json`` points exist at the repo root and
+renders one table — suite, when it ran, whether its gate passed, and
+the suite's headline metrics — so the performance story of the whole
+repo fits on one screen.  A point whose perf gate never ran
+(``gate_applied`` false — e.g. a single-core box skips a speedup
+comparison) renders its status as ``—``, not ``ok``: an unearned pass is
+the one thing a trajectory must never show.  A missing or unreadable
+file renders as an ``absent`` row.
+
 Every ``BENCH_*.json`` point that reports memory uses one definition of
 "peak RSS" — :func:`peak_rss_bytes` — so the numbers are comparable.
 ``ru_maxrss`` is the high-water mark of the process's resident set, in
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import resource
 import statistics
 import sys
@@ -32,8 +43,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = [
-    "SUITES", "Suite", "format_bytes", "headline", "median_seconds",
-    "peak_rss_bytes", "render_point", "run_suite", "stepping_logs_identical",
+    "SUITES", "Suite", "format_bytes", "headline", "load_points",
+    "median_seconds", "peak_rss_bytes", "render_point", "render_trajectory",
+    "run_suite", "stepping_logs_identical",
 ]
 
 Point = dict[str, Any]
@@ -272,3 +284,62 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         ("cache_hit_ratio", "hit", "%.2f"),
     )),
 )}
+
+
+def load_points(root: str = ".") -> dict[str, dict[str, Any] | None]:
+    """Read every suite's point; ``None`` marks an absent or unreadable
+    file (never raises — the trajectory degrades, it does not fail)."""
+    points: dict[str, dict[str, Any] | None] = {}
+    for suite in SUITES.values():
+        path = os.path.join(root, suite.filename)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                loaded = json.load(handle)
+            points[suite.name] = loaded if isinstance(loaded, dict) else None
+        except (OSError, ValueError):
+            points[suite.name] = None
+    return points
+
+
+def render_trajectory(root: str = ".") -> str:
+    """The one-screen table over every ``BENCH_*.json`` that exists."""
+    points = load_points(root)
+    rows: list[tuple[str, str, str, str]] = []
+    for suite in SUITES.values():
+        point = points[suite.name]
+        if point is None:
+            rows.append((suite.name, "-", "absent",
+                         f"run `python -m repro bench {suite.name}`"))
+            continue
+        ok = point.get("ok")
+        if ok is None:
+            status = "?"
+        elif not ok:
+            status = "FAILED"
+        elif point.get("gate_applied") is False:
+            # The point passed, but its perf gate never ran (e.g. a
+            # single-core box skips the speedup comparison) — render
+            # the skip honestly instead of an unearned "ok".
+            status = "—"
+        else:
+            status = "ok"
+        when = str(point.get("timestamp", "-"))
+        cells = "  ".join(f"{label}={cell}"
+                          for label, cell in headline(suite, point))
+        rows.append((suite.name, when, status, cells))
+
+    name_w = max(len(r[0]) for r in rows)
+    when_w = max(len(r[1]) for r in rows)
+    stat_w = max(len(r[2]) for r in rows)
+    present = sum(1 for point in points.values() if point is not None)
+    lines = [
+        f"bench trajectory: {present}/{len(SUITES)} suites have points",
+        "-" * 72,
+    ]
+    for name, when, status, cells in rows:
+        lines.append(
+            f"{name:<{name_w}}  {when:<{when_w}}  {status:<{stat_w}}  "
+            f"{cells}"
+        )
+    lines.append("-" * 72)
+    return "\n".join(lines)

@@ -689,11 +689,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.benchutil import SUITES, render_point, run_suite
+    from repro.benchutil import SUITES, render_point, render_trajectory, run_suite
 
     if args.trajectory:
-        from repro.reporting.trajectory import render_trajectory
-
         print(render_trajectory())
         return 0
     if args.list_names or args.suite is None:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.cohort.formation import form_teams
 from repro.cohort.sections import Section, make_paper_sections
 from repro.cohort.teams import Team
-from repro.core.analysis import StudyAnalysis
+from repro.core.analysis import StudyAnalysis, SurveyStats, analyze
 # Not called here; perfbench wraps ``core.study.analyze_waves`` by name.
 from repro.core.analysis import analyze_waves  # noqa: F401
 from repro.core.hypotheses import HypothesisOutcome, evaluate_hypotheses
@@ -38,16 +38,17 @@ from repro.core.targets import PAPER, PaperTargets, simulation_targets
 from repro.course.assignments import all_assignments, run_assignment_programs
 from repro.course.simulate import SimulatedGradebook, simulate_gradebook
 from repro.course.timeline import Semester, paper_timeline
-from repro.megacohort.aggregate import SurveyStats, analyze
 from repro.simulation.assemble import assemble_waves
 from repro.simulation.calibration import CalibrationResult, calibrate
 from repro.simulation.model import RawScores, ResponseModel
 from repro.survey.instrument import team_design_skills_survey
 from repro.survey.responses import WaveResponses
-from repro.teamtech.docs import CollaborativeDoc
-from repro.teamtech.github import Repository
-from repro.teamtech.slack import Workspace
-from repro.teamtech.youtube import Segment, Video, VideoChannel, REQUIRED_POINTS
+
+if TYPE_CHECKING:
+    from repro.teamtech.docs import CollaborativeDoc
+    from repro.teamtech.github import Repository
+    from repro.teamtech.slack import Workspace
+    from repro.teamtech.youtube import VideoChannel
 
 __all__ = ["PBLStudy", "StudyResult", "TeamArtifacts"]
 
@@ -67,6 +68,16 @@ class TeamArtifacts:
 
 def _team_artifacts(team: Team) -> TeamArtifacts:
     """Drive the four required technologies for one team (A1's task)."""
+    from repro.teamtech.docs import CollaborativeDoc
+    from repro.teamtech.github import Repository
+    from repro.teamtech.slack import Workspace
+    from repro.teamtech.youtube import (
+        REQUIRED_POINTS,
+        Segment,
+        Video,
+        VideoChannel,
+    )
+
     members = [m.student_id for m in team.members]
     workspace = Workspace(team_id=team.team_id)
     workspace.create_channel("general", set(members))

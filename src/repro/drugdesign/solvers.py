@@ -28,8 +28,6 @@ from repro.openmp.reduction import Reduction
 from repro.openmp.runtime import OpenMP
 from repro.faults import hooks as faults
 from repro.openmp.sync import AtomicCounter
-from repro.sched import tune as _tune
-from repro.sched.core import Call
 from repro.telemetry import instrument as telemetry
 
 __all__ = [
@@ -236,6 +234,8 @@ def _auto_chunk(ligands: list[str], protein: str, scheduler: Any) -> int:
     the caller's canonical event log stays a pure function of the real
     sweep.
     """
+    from repro.sched import tune as _tune
+
     if not ligands:
         return 1
     sample = ligands[: min(16, len(ligands))]
@@ -272,6 +272,8 @@ def solve_sched(
     task count, order, and scores as the threaded closures, so the
     canonical event log and the report are byte-identical across modes.
     """
+    from repro.sched.core import Call
+
     if chunk == "auto":
         chunk = _auto_chunk(ligands, protein, scheduler)
     if not isinstance(chunk, int) or isinstance(chunk, bool) or chunk < 1:

@@ -17,7 +17,8 @@ Layers:
   deadline propagation, circuit breaker — all on an injectable clock;
 - :mod:`repro.faults.clock` — the clocks (system / fake / scaled);
 - :mod:`repro.faults.chaos` — named plan + workload pairs behind
-  ``python -m repro chaos``.
+  ``python -m repro chaos``.  It drives the runtimes, so it is not
+  loaded here: import :mod:`repro.faults.chaos` itself.
 
 Usage::
 
@@ -42,7 +43,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.faults import chaos, hooks, policies
+from repro.faults import hooks, policies
 from repro.faults.clock import FakeClock, ScaledClock, SystemClock
 from repro.faults.hooks import _install, _uninstall
 from repro.faults.injector import (
@@ -84,7 +85,6 @@ __all__ = [
     "inject",
     "hooks",
     "policies",
-    "chaos",
 ]
 
 _session_lock = threading.Lock()

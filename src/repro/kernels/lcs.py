@@ -37,8 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.drugdesign.scoring import lcs_score as lcs_score_python
-
 __all__ = [
     "lcs_score_python",
     "lcs_scores_python",
@@ -67,6 +65,18 @@ def encode_ligands(ligands: Sequence[str], max_m: int) -> np.ndarray:
     for row, ligand in enumerate(ligands):
         batch[row, : len(ligand)] = list(map(ord, ligand))
     return batch
+
+
+def lcs_score_python(ligand: str, protein: str) -> int:
+    """Scalar oracle: :func:`repro.drugdesign.scoring.lcs_score`.
+
+    Imported on call: the drug-design package loads the OpenMP and MPI
+    runtimes, and every process-pool child imports :mod:`repro.kernels`
+    when it starts.
+    """
+    from repro.drugdesign.scoring import lcs_score
+
+    return lcs_score(ligand, protein)
 
 
 def lcs_scores_python(ligands: Sequence[str], protein: str) -> list[int]:

@@ -21,7 +21,6 @@ from repro.mapreduce.engine import (
     MapReduceSpec,
     TaskFailure,
 )
-from repro.mapreduce.stragglers import SlowTask, SpeculativeEngine, SpeculativeResult
 from repro.mapreduce.jobs import (
     distributed_sort_job,
     grep_job,
@@ -37,9 +36,6 @@ __all__ = [
     "JobResult",
     "MapReduceEngine",
     "MapReduceSpec",
-    "SlowTask",
-    "SpeculativeEngine",
-    "SpeculativeResult",
     "TaskCounters",
     "TaskFailure",
     "distributed_sort_job",

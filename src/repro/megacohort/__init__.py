@@ -11,8 +11,8 @@ ever materialising the full response tensor.  The pipeline:
    :func:`~repro.simulation.model.scores_from_blocks` map the N=124
    model uses.
 2. **Reduce** each shard to sufficient statistics
-   (:mod:`~repro.megacohort.aggregate`): streaming Welford/Chan moment
-   accumulators covering every Table 1–6 cell.
+   (:class:`~repro.core.analysis.SurveyStats`): streaming Welford/Chan
+   moment accumulators covering every Table 1–6 cell.
 3. **Merge** shard statistics in canonical shard-index order
    (order-independent by construction) and compute the analysis from
    the merged statistics alone (:mod:`~repro.megacohort.run`).
@@ -24,7 +24,7 @@ the in-memory path through typed response sheets
 one-shard run.
 """
 
-from repro.megacohort.aggregate import SurveyStats, analyze
+from repro.core.analysis import SurveyStats, analyze
 from repro.megacohort.run import (
     MegacohortResult,
     identity_check,

@@ -19,7 +19,7 @@ assemble_waves → analyze_waves``, the monolithic draw round-tripped
 through typed response sheets — and :func:`identity_check` pins the
 correctness anchor: at N=124 with one shard, both paths render Tables
 1–6 **byte-identically**.  Both end in the same
-:func:`~repro.megacohort.aggregate.analyze` call (the study itself is
+:func:`~repro.core.analysis.analyze` call (the study itself is
 that one-shard run), so the check compares shard 0's draws with the
 monolithic model's and the sheet round trip with the raw tensor.
 """
@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Any, Mapping
 
 from repro.config import resolve_mp_workers
-from repro.megacohort.aggregate import SurveyStats, analyze
+from repro.core.analysis import SurveyStats, analyze
 from repro.megacohort.shards import plan_shards, shard_stats_task
 from repro.sched.core import Call
 from repro.sched.executor import WorkStealingExecutor

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.faults import hooks as faults
-from repro.megacohort.aggregate import SurveyStats
+from repro.core.analysis import SurveyStats
 from repro.simulation.model import (
     ModelKnobs,
     draw_response_blocks,

@@ -78,12 +78,12 @@ def _megacohort_plan(seed: int) -> FaultPlan:
 
 
 def _run_megacohort(injector, seed: int, threads: int) -> tuple[int, list[str], bool]:
+    from repro.core.analysis import analyze
     from repro.megacohort.run import (
         _calibration,
         render_analysis_tables,
         run_streamed,
     )
-    from repro.megacohort.aggregate import analyze
     from repro.megacohort.shards import plan_shards, shard_stats
     from repro.stats.streaming import merge_indexed
 

@@ -25,14 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro import kernels
-from repro.kernels.resample import (
-    paired_statistic_value,
-    resolve_paired_statistic,
-    resolve_statistic,
-    statistic_value,
-)
-
 __all__ = ["BootstrapCI", "bootstrap_ci", "bootstrap_paired_ci"]
 
 DEFAULT_RESAMPLES = 2000
@@ -84,6 +76,9 @@ def bootstrap_ci(
     statistic — ``"mean"``, ``"std"``, or ``"median"`` — for the
     vectorized path.
     """
+    from repro import kernels
+    from repro.kernels.resample import resolve_statistic, statistic_value
+
     _validate(level, n_resamples, len(xs))
     data = np.asarray(xs, dtype=float)
     name = resolve_statistic(statistic)
@@ -124,6 +119,12 @@ def bootstrap_paired_ci(
     (the paper's average-variance d), or ``"pearson_r"`` — for the
     vectorized path.
     """
+    from repro import kernels
+    from repro.kernels.resample import (
+        paired_statistic_value,
+        resolve_paired_statistic,
+    )
+
     if len(xs) != len(ys):
         raise ValueError(f"paired bootstrap needs equal lengths, got "
                          f"{len(xs)} and {len(ys)}")

@@ -102,6 +102,9 @@ class Workload:
 
 _lock = threading.Lock()
 _REGISTRY: dict[str, Workload] = {}
+#: Held while the providers import, so a concurrent first lookup waits
+#: for every registration instead of reading a half-filled table.
+_providers_lock = threading.RLock()
 _providers_loaded = False
 
 #: Fault-injection sessions do not nest (module-global injector state),
@@ -168,17 +171,23 @@ def _ensure_providers_loaded() -> None:
     global _providers_loaded
     if _providers_loaded:
         return
-    with _lock:
+    # Not under ``_lock``: the providers call register(), which takes it.
+    with _providers_lock:
         if _providers_loaded:
             return
+        import repro.faults.chaos       # noqa: F401  (registers chaos runners)
+        import repro.megacohort.workloads  # noqa: F401  (registers megacohort modes)
+        import repro.mpi.stencil_sched  # noqa: F401  (registers stencil_sched modes)
+        import repro.pipeline.workloads  # noqa: F401  (registers pipeline runners)
+        import repro.sched.workloads    # noqa: F401  (registers sched runners)
+        import repro.telemetry.workloads  # noqa: F401  (registers trace runners)
+        # The runners import their runtimes on call, and the job service
+        # calls them from several threads at once.  A thread importing
+        # ``pkg.sub`` while another runs ``pkg/__init__`` can deadlock on
+        # the per-module import locks, so the packages that several
+        # runners enter by different submodules load here, on one thread.
+        import repro.drugdesign, repro.mpi, repro.openmp  # noqa: F401
         _providers_loaded = True
-    # Outside the lock: the providers call register(), which takes it.
-    import repro.faults.chaos       # noqa: F401  (registers chaos runners)
-    import repro.megacohort.workloads  # noqa: F401  (registers megacohort modes)
-    import repro.mpi.stencil_sched  # noqa: F401  (registers stencil_sched modes)
-    import repro.pipeline.workloads  # noqa: F401  (registers pipeline runners)
-    import repro.sched.workloads    # noqa: F401  (registers sched runners)
-    import repro.telemetry.workloads  # noqa: F401  (registers trace runners)
 
 
 def get(name: str) -> Workload:

@@ -13,12 +13,11 @@ from repro.faults.clock import ScaledClock
 from repro.mapreduce import (
     CounterSet,
     MapReduceEngine,
-    SlowTask,
-    SpeculativeEngine,
     TaskCounters,
     run_with_counters,
     word_count_job,
 )
+from repro.mapreduce.stragglers import SlowTask, SpeculativeEngine
 
 DOCS = [(f"d{i}", "alpha beta gamma delta " * 4) for i in range(16)]
 REFERENCE = MapReduceEngine(4).run(word_count_job(), DOCS, n_map_tasks=8)

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.megacohort.aggregate import SurveyStats, analyze
+from repro.core.analysis import SurveyStats, analyze
 from repro.megacohort.run import (
     _calibration,
     full_tensor_bytes,
@@ -278,7 +278,7 @@ def test_peak_rss_helper_reports_positive_bytes():
 
 
 def test_trajectory_renders_present_and_absent_suites(tmp_path):
-    from repro.reporting.trajectory import render_trajectory
+    from repro.benchutil import render_trajectory
 
     (tmp_path / "BENCH_megacohort.json").write_text(
         '{"ok": true, "timestamp": "2026-01-01T00:00:00", "n": 124,\n'

@@ -247,7 +247,7 @@ def test_cli_speculate_stdout_identical_across_hashseeds():
 
 
 def test_trajectory_renders_skipped_gate_as_dash(tmp_path):
-    from repro.reporting.trajectory import render_trajectory
+    from repro.benchutil import render_trajectory
 
     (tmp_path / "BENCH_mp.json").write_text(
         '{"ok": true, "gate_applied": false,'

@@ -9,6 +9,9 @@ to calling the per-mode runners directly.
 from __future__ import annotations
 
 import contextlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +54,38 @@ def test_shared_workloads_have_merged_modes():
     assert workloads.get("mapreduce").modes == ("trace", "chaos", "sched")
     assert workloads.get("mpi").modes == ("trace", "chaos")
     assert workloads.get("stencil").modes == ("chaos",)
+
+
+def test_concurrent_first_jobs_of_a_fresh_process_all_run():
+    """The first jobs of a fresh process may run on several threads at
+    once (the job service's workers): each lookup must wait for every
+    provider's registrations.  The same run also imports the runners'
+    runtimes on four threads, whose import-lock deadlock (guarded in
+    ``_ensure_providers_loaded``) shows here only some of the time."""
+    script = (
+        "import threading\n"
+        "from repro import workloads\n"
+        "names = ('mapreduce', 'drugdesign', 'stencil_sched', 'openmp')\n"
+        "ran = []\n"
+        "def run(name):\n"
+        "    try:\n"
+        "        workloads.run_job('sched', name, {'seed': 0})\n"
+        "        ran.append(True)\n"
+        "    except Exception:\n"
+        "        ran.append(False)\n"
+        "threads = [threading.Thread(target=run, args=(n,)) for n in names]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "print(sum(ran))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "4"
 
 
 def test_get_normalizes_and_raises_on_unknown():
