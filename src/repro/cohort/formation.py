@@ -27,8 +27,12 @@ friend pairs together), so the swap search evaluates each candidate by
 recomputing only the two teams the swap touches and combining them with
 the cached terms of the rest — the same floats, hence the same decisions,
 as recomputing the whole objective.  Most candidates never get that far:
-an O(1) estimate from running aggregates, less a margin far above its
-rounding error, skips those that cannot improve (:class:`_SwapFilter`).
+one scan per block of two teams (:meth:`_SwapFilter.scan`) reads the
+block's shared terms once and estimates each candidate in O(1) from
+running aggregates; an estimate that, less a margin far above its
+rounding error, cannot improve is skipped, and the scan stops at the
+first candidate that may, hands it to the exact path and is resumed
+after it.
 """
 
 from __future__ import annotations
@@ -158,8 +162,9 @@ class _SwapFilter:
     Holds the grand mean ``G`` of the team means, their sum of squared
     deviations ``S = sum((m - G)**2)``, each team's female count, the
     solo-woman and friend-pair totals, and, per team, how many friends
-    each student has in it.  :meth:`estimate` scores the swap of student
-    ``x`` (team ``a``) with ``y`` (team ``b``) from these alone:
+    each student has in it.  :meth:`scan` estimates the score after the
+    swap of student ``x`` (team ``a``) with ``y`` (team ``b``) from
+    these alone:
 
     - ``m_a' = m_a + d/n_a`` and ``m_b' = m_b - d/n_b``, where ``d`` is
       ``ability[y] - ability[x]``, so ``G' = G + (d/n_a - d/n_b)/T``;
@@ -195,6 +200,7 @@ class _SwapFilter:
         ident: Sequence[str],
         criteria: FormationCriteria,
     ) -> None:
+        self.rosters = rosters
         self.terms = terms
         self.ability = ability
         self.female = female
@@ -240,34 +246,59 @@ class _SwapFilter:
             in_a[k] += 1
         self._total()
 
-    def estimate(self, a: int, b: int, x: int, y: int) -> float:
-        """The score after swapping ``x`` (in team a) with ``y`` (in b)."""
-        terms = self.terms
-        d = self.ability[y] - self.ability[x]
-        da = d / self.sizes[a]
-        db = d / self.sizes[b]
-        shift = (da - db) / self.n_teams
-        ea = terms[a][0] - self.grand
-        eb = terms[b][0] - self.grand
-        spread = (
-            self.spread - ea * ea - eb * eb
-            + (ea + da) ** 2 + (eb - db) ** 2
-            - self.n_teams * shift * shift
-        )
-        moved = self.female[y] - self.female[x]
-        solo = (
-            self.solo - terms[a][1] - terms[b][1]
-            + (self.n_female[a] + moved == 1) + (self.n_female[b] - moved == 1)
-        )
-        together = 2 if y in self.partners[x] else 0
+    def scan(
+        self, a: int, b: int, i: int, j: int, limit: float
+    ) -> tuple[int, int, float] | None:
+        """The next swap of teams ``a`` and ``b`` that may score below
+        ``limit``.
+
+        Walks the candidates in search order from ``(i, j)`` on (the
+        rest of row ``i``, then every later row from column 0), where
+        candidate ``(i, j)`` swaps ``rosters[a][i]`` with
+        ``rosters[b][j]``, and returns ``(i, j, estimate)`` for the
+        first whose estimate less its :meth:`margin` is below
+        ``limit``, or ``None`` when none in the block is.  The terms
+        shared by the whole block are read once per call, so call it
+        again after the aggregates change (:meth:`refresh`).
+        """
+        terms, grand, n_teams = self.terms, self.grand, self.n_teams
+        ability, female, partners = self.ability, self.female, self.partners
+        team_a, team_b = self.rosters[a], self.rosters[b]
+        size_a, size_b = self.sizes[a], self.sizes[b]
+        ea = terms[a][0] - grand
+        eb = terms[b][0] - grand
+        rest = self.spread - ea * ea - eb * eb
+        solo = self.solo - terms[a][1] - terms[b][1]
+        female_a, female_b = self.n_female[a], self.n_female[b]
         in_a, in_b = self.friends_in[a], self.friends_in[b]
-        friends = self.friends - in_a[x] - in_b[y] + in_a[y] + in_b[x] - together
-        criteria = self.criteria
-        return (
-            criteria.ability_weight * (spread / self.n_teams)
-            + criteria.solo_female_penalty * solo
-            + 10.0 * friends
-        )
+        w_ability = self.criteria.ability_weight
+        w_solo = self.criteria.solo_female_penalty
+        scale = self.scale
+        for i in range(i, len(team_a)):
+            x = team_a[i]
+            ability_x, female_x, partners_x = ability[x], female[x], partners[x]
+            friends_x = self.friends - in_a[x] + in_b[x]
+            for j in range(j, len(team_b)):
+                y = team_b[j]
+                d = ability[y] - ability_x
+                da = d / size_a
+                db = d / size_b
+                shift = (da - db) / n_teams
+                u = ea + da
+                v = eb - db
+                spread = rest + u * u + v * v - n_teams * shift * shift
+                moved = female[y] - female_x
+                friends = friends_x - in_b[y] + in_a[y] - (2 if y in partners_x else 0)
+                estimate = (
+                    w_ability * (spread / n_teams)
+                    + w_solo * (solo + (female_a + moved == 1) + (female_b - moved == 1))
+                    + 10.0 * friends
+                )
+                # estimate - self.margin(estimate), inlined.
+                if estimate - 1e-9 * (abs(estimate) + scale) < limit:
+                    return i, j, estimate
+            j = 0
+        return None
 
     def margin(self, estimate: float) -> float:
         """A bound on ``|estimate - exact|`` with orders of magnitude spare."""
@@ -280,16 +311,19 @@ def _improve(
     """First-improvement local search over cross-team pairwise swaps.
 
     Teams are rosters of indices into ``students``, whose ability and
-    gender are read once.  Each candidate swap is first estimated in
-    O(1) by a :class:`_SwapFilter`; when the estimate, less its error
-    margin, cannot beat ``best - 1e-12``, the exact score cannot either,
-    so the candidate is skipped.  Every other candidate takes the exact
-    path: a swap changes only teams ``a`` and ``b``, so only their terms
-    are recomputed (summing in member order, as :func:`_objective`
-    does), the others stay cached, and the decision is taken on the
-    exact score.  The filter only ever skips candidates the exact path
-    would reject, so ``best``, every accept decision and the rosters are
-    those of evaluating every candidate exactly.
+    gender are read once.  For each pair of teams,
+    :meth:`_SwapFilter.scan` walks the candidate swaps in order and
+    skips every one whose O(1) estimate, less its error margin, cannot
+    beat ``best - 1e-12`` (the exact score cannot either); it returns
+    the first that may, which takes the exact path, and the scan
+    resumes at the next candidate with the aggregates and ``best`` as
+    that evaluation left them.  On the exact path a swap changes only
+    teams ``a`` and ``b``, so only their terms are recomputed (summing
+    in member order, as :func:`_objective` does), the others stay
+    cached, and the decision is taken on the exact score.  The filter
+    only ever skips candidates the exact path would reject, so
+    ``best``, every accept decision and the rosters are those of
+    evaluating every candidate exactly.
     """
     students = [s for t in teams for s in t]
     ability = [s.ability_index for s in students]
@@ -309,29 +343,27 @@ def _improve(
     terms = [team_terms(r) for r in rosters]
     best = _score(terms, criteria)
     swaps = _SwapFilter(rosters, terms, ability, female, ident, criteria)
-    estimate, margin = swaps.estimate, swaps.margin
     for _ in range(criteria.max_swap_rounds):
         improved = False
         for a in range(len(rosters)):
             team_a = rosters[a]
             for b in range(a + 1, len(rosters)):
                 team_b = rosters[b]
-                for i in range(len(team_a)):
-                    for j in range(len(team_b)):
-                        approx = estimate(a, b, team_a[i], team_b[j])
-                        if approx - margin(approx) >= best - 1e-12:
-                            continue
+                found = swaps.scan(a, b, 0, 0, best - 1e-12)
+                while found is not None:
+                    i, j, _ = found
+                    team_a[i], team_b[j] = team_b[j], team_a[i]
+                    kept = terms[a], terms[b]
+                    terms[a], terms[b] = team_terms(team_a), team_terms(team_b)
+                    candidate = _score(terms, criteria)
+                    if candidate < best - 1e-12:
+                        best = candidate
+                        improved = True
+                        swaps.refresh(a, b, team_b[j], team_a[i])
+                    else:
                         team_a[i], team_b[j] = team_b[j], team_a[i]
-                        kept = terms[a], terms[b]
-                        terms[a], terms[b] = team_terms(team_a), team_terms(team_b)
-                        candidate = _score(terms, criteria)
-                        if candidate < best - 1e-12:
-                            best = candidate
-                            improved = True
-                            swaps.refresh(a, b, team_b[j], team_a[i])
-                        else:
-                            team_a[i], team_b[j] = team_b[j], team_a[i]
-                            terms[a], terms[b] = kept
+                        terms[a], terms[b] = kept
+                    found = swaps.scan(a, b, i, j + 1, best - 1e-12)
         if not improved:
             break
     return [[students[k] for k in roster] for roster in rosters]

@@ -89,8 +89,8 @@ def simulate_gradebook(
     grades: dict[str, CourseGrade] = {}
 
     team_quality = {
-        team.team_id: float(np.clip(rng.normal(82.0 + 14.0 * team.mean_ability, 4.0),
-                                    55.0, 100.0))
+        team.team_id: min(100.0, max(55.0, rng.normal(82.0 + 14.0 * team.mean_ability,
+                                                      4.0)))
         for team in teams
     }
 
@@ -140,8 +140,7 @@ def simulate_gradebook(
                 AssignmentGrade(
                     assignment_number=a + 1,
                     team_score=team_scores[a],
-                    peer_rating=float(np.clip(per_member_rating[member.student_id][a],
-                                              1.0, 5.0)),
+                    peer_rating=min(5.0, max(1.0, per_member_rating[member.student_id][a])),
                 )
                 for a in range(N_ASSIGNMENTS)
             )

@@ -51,6 +51,8 @@ __all__ = [
     "student_factors",
     "skill_residuals",
     "scores_from_blocks",
+    "trait_offset",
+    "items_from_trait",
 ]
 
 CATEGORIES: tuple[str, str] = ("class_emphasis", "personal_growth")
@@ -240,6 +242,55 @@ def skill_residuals(q_raw: np.ndarray, c_q: np.ndarray) -> np.ndarray:
     return out
 
 
+def trait_offset(
+    knobs: ModelKnobs,
+    p_raw: np.ndarray,
+    q_raw: np.ndarray,
+    latent_scale: float = LATENT_SCALE,
+) -> np.ndarray:
+    """The trait's deviation from ``mu`` (N, K, 2, 2): ``s * (alpha * p +
+    sqrt(1 - alpha**2) * q)``.
+
+    The half of the generation map that does not read ``mu``, so a step
+    that moves only the means can reuse it (:class:`ResponseModel`
+    does).
+    """
+    if np.any((knobs.alpha < 0) | (knobs.alpha >= 1)):
+        raise ValueError("alpha must be in [0, 1)")
+    if np.any(np.abs(knobs.c_q) > 1):
+        raise ValueError("c_q must be in [-1, 1]")
+    p = student_factors(p_raw, knobs.rho_p)         # (N, C, W)
+    q = skill_residuals(q_raw, knobs.c_q)           # (N, K, C, W)
+    alpha = knobs.alpha[None, None, :, :]           # (1, 1, C, W)
+    return latent_scale * (
+        alpha * p[:, None, :, :] + np.sqrt(1 - alpha**2) * q
+    )
+
+
+def items_from_trait(
+    mu: np.ndarray,
+    offset: np.ndarray,
+    noise: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Likert items (N, K, 2, 2, items) from the trait means ``mu``
+    (K, 2, 2), a :func:`trait_offset` and the scaled item noise.
+
+    Adds the trait ``mu + offset`` to the noise into ``out`` (a new
+    buffer when ``None``; pass ``out=noise`` to reuse the noise's),
+    rounds and clips it there, and returns a compact
+    :data:`LIKERT_DTYPE` tensor of values 1..5.  ``offset`` is only
+    read.
+    """
+    if mu.shape != offset.shape[1:]:
+        raise ValueError(f"mu has shape {mu.shape}, expected {offset.shape[1:]}")
+    theta = mu[None, :, :, :] + offset              # (N, K, C, W)
+    latent = np.add(theta[..., None], noise, out=out)
+    np.rint(latent, out=latent)
+    np.clip(latent, 1, 5, out=latent)
+    return latent.astype(LIKERT_DTYPE)
+
+
 def scores_from_blocks(
     knobs: ModelKnobs,
     p_raw: np.ndarray,
@@ -251,36 +302,30 @@ def scores_from_blocks(
     """Raw item scores (N, K, 2, 2, items) from standard-normal blocks.
 
     The pure generation map behind :meth:`ResponseModel.generate`,
-    shared with the mega-cohort shard path; the floating-point
+    shared with the mega-cohort shard path: :func:`trait_offset`, then
+    :func:`items_from_trait` over the scaled noise.  The floating-point
     operation order is the identity anchor, so change it only with the
-    N=124 bit-identity test in hand.  The item map runs in place over
-    one float buffer (scale the noise, add the trait, round, clip) and
-    returns a compact :data:`LIKERT_DTYPE` tensor of values 1..5.
+    N=124 bit-identity test in hand.  Besides the trait arrays, the map
+    allocates one float buffer of the items' shape: the noise is scaled
+    into it, and the trait is added, rounded and clipped there in place.
     """
-    k = q_raw.shape[1]
-    if knobs.mu.shape != (k, 2, 2):
-        raise ValueError(f"mu has shape {knobs.mu.shape}, expected {(k, 2, 2)}")
-    if np.any((knobs.alpha < 0) | (knobs.alpha >= 1)):
-        raise ValueError("alpha must be in [0, 1)")
-    if np.any(np.abs(knobs.c_q) > 1):
-        raise ValueError("c_q must be in [-1, 1]")
-    p = student_factors(p_raw, knobs.rho_p)         # (N, C, W)
-    q = skill_residuals(q_raw, knobs.c_q)           # (N, K, C, W)
-    alpha = knobs.alpha[None, None, :, :]           # (1, 1, C, W)
-    theta = knobs.mu[None, :, :, :] + latent_scale * (
-        alpha * p[:, None, :, :] + np.sqrt(1 - alpha**2) * q
-    )                                               # (N, K, C, W)
-    latent = np.multiply(e, item_noise)             # (N, K, C, W, items)
-    np.add(theta[..., None], latent, out=latent)
-    np.rint(latent, out=latent)
-    np.clip(latent, 1, 5, out=latent)
-    return latent.astype(LIKERT_DTYPE)
+    offset = trait_offset(knobs, p_raw, q_raw, latent_scale)
+    noise = np.multiply(e, item_noise)
+    return items_from_trait(knobs.mu, offset, noise, out=noise)
 
 
 class ResponseModel:
     """The generator.  Standard-normal draws are made once per instance so
     that regenerating with different knobs is a smooth deterministic map —
-    which is what lets calibration use simple monotone root finding."""
+    which is what lets calibration use simple monotone root finding.
+
+    The scaled item noise is kept instead of the raw draw, and the last
+    :func:`trait_offset` is kept with the exact bytes of the ``rho_p``,
+    ``alpha`` and ``c_q`` it came from, so a generation that moves only
+    ``mu`` (most calibration steps) skips that half of the map.  Keying
+    on the bytes, not on the knob objects, makes in-place changes to the
+    knob arrays safe.
+    """
 
     def __init__(
         self,
@@ -301,61 +346,106 @@ class ResponseModel:
         self.skills = tuple(skills)
         self.n_students = n_students
         self.items_per_skill = items_per_skill
-        self.latent_scale = latent_scale
-        self.item_noise = item_noise
+        self._latent_scale = latent_scale
+        self._item_noise = item_noise
         rng = np.random.default_rng(seed)
         # Independent standard-normal building blocks, drawn once, in the
         # canonical order shared with the mega-cohort shard generator.
-        self._p_raw, self._q_raw, self._e = draw_response_blocks(
+        self._p_raw, self._q_raw, e = draw_response_blocks(
             rng, n_students, len(self.skills), items_per_skill
         )
+        np.multiply(e, item_noise, out=e)
+        self._noise = e
+        self._offset_key: tuple | None = None
+        self._offset: np.ndarray | None = None
 
-    def _student_factors(self, rho_p: float) -> np.ndarray:
-        """Correlated student factors (N, 2 categories, 2 waves)."""
-        return student_factors(self._p_raw, rho_p)
+    @property
+    def latent_scale(self) -> float:
+        """Latent trait scale ``s``, fixed at construction."""
+        return self._latent_scale
 
-    def _residuals(self, c_q: np.ndarray) -> np.ndarray:
-        """Correlated skill residuals (N, K, 2 categories, 2 waves)."""
-        return skill_residuals(self._q_raw, c_q)
+    @property
+    def item_noise(self) -> float:
+        """Item read-noise SD, fixed at construction (the noise is kept
+        scaled)."""
+        return self._item_noise
+
+    def _trait_offset(self, knobs: ModelKnobs) -> np.ndarray:
+        """:func:`trait_offset` for these knobs, from the one-entry memo
+        when ``rho_p``, ``alpha`` and ``c_q`` are unchanged."""
+        key = tuple(
+            (a.dtype.str, a.shape, a.tobytes())
+            for a in map(np.asarray, (knobs.rho_p, knobs.alpha, knobs.c_q))
+        )
+        if key != self._offset_key:
+            self._offset = trait_offset(
+                knobs, self._p_raw, self._q_raw, self._latent_scale
+            )
+            self._offset_key = key
+        return self._offset
 
     def generate(self, knobs: ModelKnobs) -> RawScores:
         """Generate the full raw item-score array for these knobs."""
-        scores = scores_from_blocks(
-            knobs,
-            self._p_raw,
-            self._q_raw,
-            self._e,
-            latent_scale=self.latent_scale,
-            item_noise=self.item_noise,
-        )
+        scores = items_from_trait(knobs.mu, self._trait_offset(knobs), self._noise)
         return RawScores(
             skills=self.skills, items_per_skill=self.items_per_skill, scores=scores
         )
 
     # --- observed statistics used by calibration -------------------------
 
-    def observed(self, knobs: ModelKnobs) -> dict[str, np.ndarray]:
+    def observed(self, knobs: ModelKnobs) -> Mapping[str, np.ndarray]:
         """Observed statistics for the current knobs.
 
-        Returns ``skill_mean`` (K, C, W), ``overall_sd`` (C, W) and
-        ``pearson_r`` (K, W) computed from a fresh generation with the
-        fixed underlying draws.  ``pearson_r`` is one batched pass of
-        :func:`_pearson_pairs` over all K·W emphasis/growth pairs, equal
-        bit for bit to ``np.corrcoef(e, g)[0, 1]`` per pair; calibration
-        branches on these floats, so the calibration digests in
+        Maps ``skill_mean`` (K, C, W), ``overall_sd`` (C, W) and
+        ``pearson_r`` (K, W), each computed from one fresh generation
+        with the fixed underlying draws on its first lookup, so a step
+        that reads only the means pays for no SD and no Pearson.
+        ``pearson_r`` is one batched pass of :func:`_pearson_pairs` over
+        all K·W emphasis/growth pairs, equal bit for bit to
+        ``np.corrcoef(e, g)[0, 1]`` per pair; calibration branches on
+        these floats, so the calibration digests in
         ``tests/test_golden_digests.py`` pin them.
         """
-        derived = derived_scores(self.generate(knobs).scores)
-        skill = derived.skill                           # (N, K, C, W)
-        overall = derived.overall                       # (N, C, W)
-        # Mean targets are the published Tables 5/6 values, which are
-        # cohort-mean *composite* scores.
-        skill_mean = derived.composite.mean(axis=0)     # (K, C, W)
-        overall_sd = overall.std(axis=0, ddof=1)        # (C, W)
-        n, k = skill.shape[:2]
-        pairs = np.ascontiguousarray(skill.transpose(1, 3, 2, 0))  # (K, W, C, N)
-        r = _pearson_pairs(pairs.reshape(k * 2, 2, n)).reshape(k, 2)
-        return {"skill_mean": skill_mean, "overall_sd": overall_sd, "pearson_r": r}
+        return _Observed(derived_scores(self.generate(knobs).scores))
+
+
+class _Observed(Mapping[str, np.ndarray]):
+    """The statistics of :meth:`ResponseModel.observed`, each computed on
+    its first lookup; an unknown name raises :class:`KeyError`."""
+
+    _NAMES = ("skill_mean", "overall_sd", "pearson_r")
+
+    def __init__(self, derived: DerivedScores) -> None:
+        self._derived = derived
+        self._values: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._values[name]
+        except KeyError:
+            pass
+        derived = self._derived
+        if name == "skill_mean":
+            # Mean targets are the published Tables 5/6 values, which
+            # are cohort-mean *composite* scores.
+            value = derived.composite.mean(axis=0)              # (K, C, W)
+        elif name == "overall_sd":
+            value = derived.overall.std(axis=0, ddof=1)         # (C, W)
+        elif name == "pearson_r":
+            skill = derived.skill                               # (N, K, C, W)
+            n, k = skill.shape[:2]
+            pairs = np.ascontiguousarray(skill.transpose(1, 3, 2, 0))  # (K, W, C, N)
+            value = _pearson_pairs(pairs.reshape(k * 2, 2, n)).reshape(k, 2)
+        else:
+            raise KeyError(name)
+        self._values[name] = value
+        return value
+
+    def __iter__(self):
+        return iter(self._NAMES)
+
+    def __len__(self) -> int:
+        return len(self._NAMES)
 
 
 def _pearson_pairs(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Cohort: students, sections, team formation, coordinators, peer ratings."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from repro.cohort import (
     random_teams,
     rotate_coordinators,
 )
+from repro.cohort import formation
 from repro.cohort.formation import (
     _objective,
     _score,
@@ -252,6 +254,23 @@ class TestFormationOracle:
                 rosters[team.team_id] = tuple(m.student_id for m in team.members)
         assert rosters == GOLDEN_ROSTERS_2018
 
+    def test_filter_strength_seed_2018(self, monkeypatch):
+        """Seed 2018 scores 386 assignments exactly across both sections
+        (each section's starting score plus every candidate the swap
+        filter lets through), so a weaker filter cannot hide behind the
+        same rosters."""
+        calls = []
+        score = formation._score
+
+        def counting(terms, criteria):
+            calls.append(1)
+            return score(terms, criteria)
+
+        monkeypatch.setattr(formation, "_score", counting)
+        for index, section in enumerate(make_paper_sections(2018), start=1):
+            form_teams(section.students, 13, id_prefix=f"S{index}T")
+        assert len(calls) == 386
+
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_full_recompute_search(self, seed):
         for section in make_paper_sections(seed):
@@ -327,7 +346,9 @@ class TestSwapFilter:
     @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
     def test_estimate_error_far_below_margin(self, kind):
         """A random walk of swaps, some kept: every estimate is within a
-        thousandth of its margin of the exact score of the swapped state."""
+        thousandth of its margin of the exact score of the swapped state.
+        Each estimate is read through ``scan`` with no limit, which
+        returns the candidate it starts at."""
         rng = random.Random(kind)
         section, weights = ADVERSARIAL[kind]
         students = _rated(make_paper_sections(11)[0].students, **section)
@@ -355,7 +376,9 @@ class TestSwapFilter:
             a, b = sorted(rng.sample(range(len(rosters)), 2))
             i, j = rng.randrange(len(rosters[a])), rng.randrange(len(rosters[b]))
             x, y = rosters[a][i], rosters[b][j]
-            approx = swaps.estimate(a, b, x, y)
+            found = swaps.scan(a, b, i, j, math.inf)
+            assert found[:2] == (i, j)
+            approx = found[2]
             rosters[a][i], rosters[b][j] = y, x
             old = terms[a], terms[b]
             terms[a], terms[b] = terms_of(rosters[a]), terms_of(rosters[b])
