@@ -23,11 +23,11 @@ which :meth:`JobStore.enqueue_batch` stores and :meth:`JobStore.lease`
 sorts on in SQL.  :class:`StoreScheduler` is the pump between the
 durable store and the in-memory
 :class:`~repro.sched.executor.WorkStealingExecutor`: reclaim expired
-leases, lease the top-ranked batch, dispatch it through the executor,
-commit the batch's results in one transaction and its failures one by
-one — until the store runs dry.  Durable state only ever lives in the
-store (the DESIGN rule); the executor remains the ephemeral dispatch
-layer.
+leases, lease the top-ranked batch, dispatch it through the executor
+as one task per worker, commit the batch's results in one transaction
+and its failures one by one — until the store runs dry.  Durable state
+only ever lives in the store (the DESIGN rule); the executor remains
+the ephemeral dispatch layer.
 """
 
 from __future__ import annotations
@@ -128,12 +128,19 @@ class StoreScheduler:
         Per round: reclaim expired leases, lease the top ``batch_size``
         pending jobs in the store's dispatch order (:meth:`JobStore.lease`
         picks them in SQL, so no round reads the whole pending set),
-        dispatch the batch through ``executor.map``, commit its results
-        with one :meth:`JobStore.complete_many` (handler exceptions become
-        ``failed`` rows, retried while attempts remain), repeat.  When
-        nothing is left to lease but another live worker still holds
-        leases, the drain waits for those jobs to finish or expire
-        instead of returning early.
+        dispatch the batch through ``executor.map_chunked`` as one task
+        per worker (``ceil(len(batch) / executor.n_workers)`` jobs each,
+        so the executor's per-task bookkeeping is paid per worker, not
+        per job), commit its results with one
+        :meth:`JobStore.complete_many` (handler exceptions become
+        ``failed`` rows, retried while attempts remain), repeat.  Each
+        job in a task keeps its own outcome: a handler that raises fails
+        only its own job, and its chunk-mates still commit.  An injected
+        crash (``sched.task``, or raised by a handler) re-runs the whole
+        task under the executor's retry, which is safe because nothing
+        commits before the batch returns.  When nothing is left to lease
+        but another live worker still holds leases, the drain waits for
+        those jobs to finish or expire instead of returning early.
 
         On entry any lease held under *this scheduler's own owner name*
         is released immediately (restart fencing): a scheduler that just
@@ -149,11 +156,11 @@ class StoreScheduler:
 
         With ``speculate=True`` a straggler policy
         (:class:`~repro.sched.spec.SpecPolicy` with ``k=spec_k``) is
-        installed on ``executor`` before the first batch: a job stuck
-        behind a slow worker gets a backup copy and the first completion
-        wins.  Handlers must be pure/idempotent (the same contract
-        resumable stages already demand) — exactly one result per job is
-        committed to the store either way.
+        installed on ``executor`` before the first batch: a task of jobs
+        stuck behind a slow worker gets a backup copy and the first
+        completion wins.  Handlers must be pure/idempotent (the same
+        contract resumable stages already demand) — exactly one result
+        per job is committed to the store either way.
         """
         if self.speculate and hasattr(executor, "speculate"):
             from repro.sched.spec import SpecPolicy
@@ -192,10 +199,12 @@ class StoreScheduler:
                 stats["rounds"] += 1
                 stats["leased"] += len(batch)
                 with self._heartbeat([job.job_id for job in batch], stats):
-                    results = executor.map(
-                        [lambda job=job: self._run_one(handler, job)
-                         for job in batch],
-                        name="pipeline.job",
+                    results = executor.map_chunked(
+                        batch,
+                        lambda jobs: [self._run_one(handler, job)
+                                      for job in jobs],
+                        chunk_size=-(-len(batch) // executor.n_workers),
+                        name="pipeline.jobs",
                     )
                 outcomes = list(zip(batch, results))
                 done = [(job.job_id, value)

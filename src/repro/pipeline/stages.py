@@ -92,7 +92,11 @@ class StageContext:
         One store job per item (idempotent — a resumed stage finds the
         finished ones already ``done`` and only re-runs the remainder),
         ranked by ``expected_score`` + staleness + the seeded exploration
-        bonus, dispatched through a deterministic work-stealing executor.
+        bonus, dispatched through a deterministic work-stealing executor
+        a lease batch at a time (see :meth:`StoreScheduler.drain`).  A
+        cold stage's enqueue reads nothing back, and the final read
+        takes only each job's key, id, state, result and error
+        (:meth:`JobStore.outcomes`), never the payloads.
         """
         specs = [{
             "run_id": self.run_id,
@@ -119,17 +123,15 @@ class StageContext:
         self.stats["resumed_done"] = (
             self.stats.get("resumed_done", 0) + resumed_done
         )
-        finals = {job.key: job
-                  for job in self.store.jobs(run_id=self.run_id, stage=stage)}
+        finals = self.store.outcomes(run_id=self.run_id, stage=stage)
         out: list[Any] = []
         for record, _created in records:
-            final = finals[record.key]
-            if final.state != "done":
+            job_id, state, result, error = finals[record.key]
+            if state != "done":
                 raise PipelineError(
-                    f"fan-out job {final.job_id} ({stage}) ended "
-                    f"{final.state!r}: {final.error}"
+                    f"fan-out job {job_id} ({stage}) ended {state!r}: {error}"
                 )
-            out.append(final.result)
+            out.append(result)
         return out
 
 

@@ -210,23 +210,32 @@ class JobRecord:
         return self.state in TERMINAL_STATES
 
 
-def _decode(row: sqlite3.Row) -> JobRecord:
+#: The ``jobs`` columns in :class:`JobRecord` field order: every read of
+#: whole rows selects exactly these, and :func:`_decode` takes them by
+#: position.
+_COLUMNS = ("id, key, run_id, stage, payload, expected_score, state, "
+            "attempts, lease_owner, lease_expires_s, created_s, updated_s, "
+            "result, error, rank_key")
+
+
+def _decode(row: tuple) -> JobRecord:
+    (job_id, key, run_id, stage, payload, expected_score, state, attempts,
+     lease_owner, lease_expires_s, created_s, updated_s, result, error,
+     rank_key) = row
     return JobRecord(
-        job_id=row["id"],
-        key=row["key"],
-        run_id=row["run_id"],
-        stage=row["stage"],
-        payload=json.loads(row["payload"]),
-        expected_score=row["expected_score"],
-        state=row["state"],
-        attempts=row["attempts"],
-        lease_owner=row["lease_owner"],
-        lease_expires_s=row["lease_expires_s"],
-        created_s=row["created_s"],
-        updated_s=row["updated_s"],
-        result=None if row["result"] is None else json.loads(row["result"]),
-        error=row["error"],
-        rank_key=row["rank_key"],
+        job_id, key, run_id, stage, json.loads(payload), expected_score,
+        state, attempts, lease_owner, lease_expires_s, created_s, updated_s,
+        None if result is None else json.loads(result), error, rank_key,
+    )
+
+
+def _new_record(job_id: int, row: tuple) -> JobRecord:
+    """The record of a row :meth:`JobStore.enqueue_batch` just inserted."""
+    key, run_id, stage, payload, expected_score, rank_key, created_s, \
+        updated_s = row
+    return JobRecord(
+        job_id, key, run_id, stage, json.loads(payload), expected_score,
+        PENDING, 0, None, None, created_s, updated_s, None, None, rank_key,
     )
 
 
@@ -260,7 +269,6 @@ class JobStore:
             path, timeout=busy_timeout_s, check_same_thread=False,
             isolation_level=None,
         )
-        self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
         with self._lock:
             if path != ":memory:":
@@ -280,7 +288,7 @@ class JobStore:
         """
         def missing() -> bool:
             return "rank_key" not in {
-                row["name"] for row in self._conn.execute("PRAGMA table_info(jobs)")
+                row[1] for row in self._conn.execute("PRAGMA table_info(jobs)")
             }
 
         if not missing():
@@ -360,6 +368,13 @@ class JobStore:
         its stored dispatch key (without it the key is NULL), and fills
         the key of an existing row that has none, from that row's own
         ``expected_score`` and ``created_s``.
+
+        A cold batch — the INSERT created every row, so no key repeats
+        and none existed — reads nothing back: its records are built
+        from the rows it wrote, with the ids AUTOINCREMENT gave them (a
+        consecutive run ending at ``last_insert_rowid()``, since
+        ``BEGIN IMMEDIATE`` keeps every other writer out).  Any other
+        batch reads its rows back by key.
         """
         now = self._now()
         rows = []
@@ -379,38 +394,57 @@ class JobStore:
             # above every id that existed before this INSERT.
             (last_id,) = conn.execute(
                 "SELECT COALESCE(MAX(id), 0) FROM jobs").fetchone()
-            conn.executemany(
+            inserted = conn.executemany(
                 "INSERT INTO jobs (key, run_id, stage, payload, "
                 "  expected_score, rank_key, state, created_s, updated_s) "
                 "VALUES (?, ?, ?, ?, ?, ?, 'pending', ?, ?) "
                 "ON CONFLICT(key) DO NOTHING",
                 rows,
-            )
-            found = {}
-            for chunk in _chunks(keys):
-                found.update(
-                    (row["key"], _decode(row)) for row in conn.execute(
-                        f"SELECT * FROM jobs WHERE key IN ({_marks(chunk)})",
-                        chunk))
-            if rank_key is not None:
-                unkeyed = [record for record in found.values()
-                           if record.rank_key is None]
-                for record in unkeyed:
-                    found[record.key] = replace(record, rank_key=float(rank_key(
-                        record.key, record.expected_score, record.created_s)))
-                conn.executemany(
-                    "UPDATE jobs SET rank_key = ? WHERE id = ?",
-                    [(found[record.key].rank_key, record.job_id)
-                     for record in unkeyed])
+            ).rowcount
+            if inserted == len(rows) == len(keys):
+                (end,) = conn.execute("SELECT last_insert_rowid()").fetchone()
+                first = end - len(rows) + 1
+                out = [(_new_record(first + offset, row), True)
+                       for offset, row in enumerate(rows)]
+            else:
+                out = self._read_back_locked(conn, rows, keys, last_id,
+                                             rank_key)
+        if inserted:
+            telemetry.inc("pipeline.jobs.enqueued", inserted)
+        return out
+
+    @staticmethod
+    def _read_back_locked(
+        conn: sqlite3.Connection,
+        rows: list[tuple],
+        keys: list[str],
+        last_id: int,
+        rank_key: Callable[[str, float, float], float] | None,
+    ) -> list[tuple[JobRecord, bool]]:
+        """:meth:`enqueue_batch`'s records when some key repeated or
+        already existed: read back by key, keying any unkeyed old row."""
+        found = {}
+        for chunk in _chunks(keys):
+            found.update(
+                (row[1], _decode(row)) for row in conn.execute(
+                    f"SELECT {_COLUMNS} FROM jobs WHERE key IN ({_marks(chunk)})",
+                    chunk))
+        if rank_key is not None:
+            unkeyed = [record for record in found.values()
+                       if record.rank_key is None]
+            for record in unkeyed:
+                found[record.key] = replace(record, rank_key=float(rank_key(
+                    record.key, record.expected_score, record.created_s)))
+            conn.executemany(
+                "UPDATE jobs SET rank_key = ? WHERE id = ?",
+                [(found[record.key].rank_key, record.job_id)
+                 for record in unkeyed])
         out: list[tuple[JobRecord, bool]] = []
         seen: set[str] = set()
         for key in (row[0] for row in rows):
             record = found[key]
             out.append((record, record.job_id > last_id and key not in seen))
             seen.add(key)
-        created = sum(was_created for _record, was_created in out)
-        if created:
-            telemetry.inc("pipeline.jobs.enqueued", created)
         return out
 
     # -- lookup --------------------------------------------------------------
@@ -418,7 +452,7 @@ class JobStore:
     def get(self, job_id: int) -> JobRecord:
         with self._lock:
             row = self._conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
+                f"SELECT {_COLUMNS} FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
         if row is None:
             raise KeyError(job_id)
@@ -427,7 +461,7 @@ class JobStore:
     def get_by_key(self, key: str) -> JobRecord:
         with self._lock:
             row = self._conn.execute(
-                "SELECT * FROM jobs WHERE key = ?", (key,)
+                f"SELECT {_COLUMNS} FROM jobs WHERE key = ?", (key,)
             ).fetchone()
         if row is None:
             raise KeyError(key)
@@ -443,9 +477,24 @@ class JobStore:
         where, params = _where(run_id=run_id, stage=stage, state=state)
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT * FROM jobs {where} ORDER BY id", params
+                f"SELECT {_COLUMNS} FROM jobs {where} ORDER BY id", params
             ).fetchall()
         return [_decode(row) for row in rows]
+
+    def outcomes(
+        self, run_id: str | None = None, stage: str | None = None
+    ) -> dict[str, tuple[int, str, Any, str | None]]:
+        """``{key: (job_id, state, result, error)}`` over the matching
+        jobs: what a fan-out reads back once its drain ends, without
+        decoding any payload."""
+        where, params = _where(run_id=run_id, stage=stage)
+        with self._lock:
+            rows = self._conn.execute(
+                f"SELECT key, id, state, result, error FROM jobs {where}",
+                params).fetchall()
+        return {key: (job_id, state,
+                      None if result is None else json.loads(result), error)
+                for key, job_id, state, result, error in rows}
 
     def pending_jobs(
         self, run_id: str | None = None, stage: str | None = None
@@ -459,10 +508,10 @@ class JobStore:
         where, params = _where(run_id=run_id, stage=stage)
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT state, COUNT(*) AS n FROM jobs {where} "
+                f"SELECT state, COUNT(*) FROM jobs {where} "
                 f"GROUP BY state ORDER BY state", params
             ).fetchall()
-        return {row["state"]: row["n"] for row in rows}
+        return dict(rows)
 
     # -- the state machine ---------------------------------------------------
 
@@ -495,9 +544,9 @@ class JobStore:
         if row is None:
             raise KeyError(job_id)
         raise TransitionError(
-            f"job {job_id}: illegal transition {row['state']!r} -> "
-            f"{to_state!r} (legal from {row['state']!r}: "
-            f"{sorted(_TRANSITIONS.get(row['state'], ())) or 'nothing'})"
+            f"job {job_id}: illegal transition {row[0]!r} -> "
+            f"{to_state!r} (legal from {row[0]!r}: "
+            f"{sorted(_TRANSITIONS.get(row[0], ())) or 'nothing'})"
         )
 
     def lease(
@@ -528,7 +577,7 @@ class JobStore:
         with self._write("lease") as conn:
             if job_ids is None:
                 where, params = _where(state=PENDING, run_id=run_id, stage=stage)
-                ids = [row["id"] for row in conn.execute(
+                ids = [row[0] for row in conn.execute(
                     f"SELECT id FROM jobs {where} "
                     f"ORDER BY rank_key DESC, key LIMIT ?",
                     (*params, -1 if limit is None else limit))]
@@ -536,7 +585,7 @@ class JobStore:
                 wanted = list(dict.fromkeys(job_ids))
                 pending: set[int] = set()
                 for chunk in _chunks(wanted):
-                    pending.update(row["id"] for row in conn.execute(
+                    pending.update(row[0] for row in conn.execute(
                         f"SELECT id FROM jobs WHERE state = 'pending' "
                         f"AND id IN ({_marks(chunk)})", chunk))
                 ids = [job_id for job_id in wanted if job_id in pending]
@@ -547,8 +596,9 @@ class JobStore:
                     f"  lease_expires_s = ?, attempts = attempts + 1, "
                     f"  updated_s = ? WHERE id IN ({_marks(chunk)})",
                     (owner, now + ttl, now, *chunk))
-                rows.update((row["id"], row) for row in conn.execute(
-                    f"SELECT * FROM jobs WHERE id IN ({_marks(chunk)})", chunk))
+                rows.update((row[0], row) for row in conn.execute(
+                    f"SELECT {_COLUMNS} FROM jobs WHERE id IN ({_marks(chunk)})",
+                    chunk))
         claimed = [_decode(rows[job_id]) for job_id in ids]
         if claimed:
             telemetry.inc("pipeline.jobs.leased", len(claimed))
@@ -564,7 +614,7 @@ class JobStore:
                 "SELECT id FROM jobs WHERE state = 'pending' "
                 "ORDER BY id LIMIT ?", (limit,)
             ).fetchall()
-        return self.lease(owner, [row["id"] for row in rows], lease_s)
+        return self.lease(owner, [row[0] for row in rows], lease_s)
 
     def renew_lease(
         self,
@@ -607,21 +657,38 @@ class JobStore:
         """``leased → done`` for every ``(job_id, result)`` pair, in one
         transaction.
 
-        The ``pipeline.store`` site fires once per row (keyed
-        ``complete``) before COMMIT, so fault indices count completions
-        exactly as one-row commits would; a crash or an illegal
-        transition at any row rolls back the whole batch.
+        One guarded ``executemany`` (``WHERE id = ? AND state =
+        'leased'``) moves the whole batch.  If it moved fewer rows than
+        it was given, some job was not leased (or came twice): the batch
+        is undone and replayed row by row up to the first offending job,
+        whose :class:`TransitionError` (``KeyError`` for an unknown id)
+        propagates and rolls the transaction back.  After the moves the
+        ``pipeline.store`` site fires once per row (keyed ``complete``)
+        before COMMIT, so fault indices count completions exactly as
+        one-row commits would; a crash at any row rolls back the whole
+        batch.
         """
         if not pairs:
             return
         with self._write("complete", fire=False) as conn:
-            for job_id, result in pairs:
-                self._transition_locked(
-                    conn, job_id, DONE, expect=LEASED,
-                    sets=", result = ?, lease_owner = NULL, "
-                         "lease_expires_s = NULL",
-                    params=(_canonical_json(result),),
-                )
+            now = self._now()
+            rows = [(now, _canonical_json(result), job_id)
+                    for job_id, result in pairs]
+            conn.execute("SAVEPOINT complete_many")
+            moved = conn.executemany(
+                "UPDATE jobs SET state = 'done', updated_s = ?, result = ?, "
+                "  lease_owner = NULL, lease_expires_s = NULL "
+                "WHERE id = ? AND state = 'leased'", rows).rowcount
+            if moved != len(rows):
+                conn.execute("ROLLBACK TO complete_many")
+                for _now, result, job_id in rows:
+                    self._transition_locked(
+                        conn, job_id, DONE, expect=LEASED,
+                        sets=", result = ?, lease_owner = NULL, "
+                             "lease_expires_s = NULL",
+                        params=(result,),
+                    )
+            for _row in rows:
                 faults.fire("pipeline.store", key="complete", op="complete")
         telemetry.inc("pipeline.jobs.completed", len(pairs))
 
@@ -669,7 +736,7 @@ class JobStore:
                 "SELECT id FROM jobs WHERE state = 'leased' "
                 "AND lease_expires_s < ? ORDER BY id", (stamp,)
             ).fetchall()
-            ids = [row["id"] for row in rows]
+            ids = [row[0] for row in rows]
             if ids:
                 conn.execute(
                     f"UPDATE jobs SET state = 'pending', lease_owner = NULL, "
@@ -694,7 +761,7 @@ class JobStore:
                 "SELECT id FROM jobs WHERE state = 'leased' "
                 "AND lease_owner = ? ORDER BY id", (owner,)
             ).fetchall()
-            ids = [row["id"] for row in rows]
+            ids = [row[0] for row in rows]
             if ids:
                 conn.execute(
                     f"UPDATE jobs SET state = 'pending', lease_owner = NULL, "
@@ -726,7 +793,7 @@ class JobStore:
                 "SELECT payload FROM checkpoints WHERE run_id = ? AND stage = ?",
                 (run_id, stage),
             ).fetchone()
-        return None if row is None else json.loads(row["payload"])
+        return None if row is None else json.loads(row[0])
 
     def checkpoint_stages(self, run_id: str) -> list[str]:
         with self._lock:
@@ -734,7 +801,7 @@ class JobStore:
                 "SELECT stage FROM checkpoints WHERE run_id = ? "
                 "ORDER BY created_s, stage", (run_id,)
             ).fetchall()
-        return [row["stage"] for row in rows]
+        return [row[0] for row in rows]
 
     def clear_run(self, run_id: str) -> int:
         """Drop a run's checkpoints and jobs (a fresh, non-resumed start)."""
@@ -774,7 +841,7 @@ class JobStore:
                 "WHERE parent_key = ? AND state = 'armed' ORDER BY id",
                 (parent_key,),
             ).fetchall()
-            ids = [row["id"] for row in rows]
+            ids = [row[0] for row in rows]
             if ids:
                 conn.execute(
                     f"UPDATE callbacks SET state = 'fired', fired_s = ? "
@@ -783,17 +850,17 @@ class JobStore:
                 )
         if ids:
             telemetry.inc("pipeline.callbacks.fired", len(ids))
-        return [json.loads(row["spec"]) for row in rows]
+        return [json.loads(row[1]) for row in rows]
 
     def armed_callbacks(self, parent_key: str | None = None) -> int:
         where, params = ("AND parent_key = ?", (parent_key,)) \
             if parent_key is not None else ("", ())
         with self._lock:
             row = self._conn.execute(
-                f"SELECT COUNT(*) AS n FROM callbacks "
+                f"SELECT COUNT(*) FROM callbacks "
                 f"WHERE state = 'armed' {where}", params
             ).fetchone()
-        return int(row["n"])
+        return int(row[0])
 
     # -- terminal markers (restart-safe callback delivery) -------------------
 
@@ -822,7 +889,7 @@ class JobStore:
                 "SELECT state FROM completions WHERE parent_key = ?",
                 (parent_key,),
             ).fetchone()
-        return None if row is None else str(row["state"])
+        return None if row is None else str(row[0])
 
     def stranded_callbacks(self) -> list[tuple[str, str]]:
         """Parents with armed callbacks that already ended.
@@ -841,4 +908,4 @@ class JobStore:
                 "  ON t.parent_key = c.parent_key "
                 "WHERE c.state = 'armed' ORDER BY c.parent_key"
             ).fetchall()
-        return [(str(row["parent_key"]), str(row["state"])) for row in rows]
+        return [(str(parent_key), str(state)) for parent_key, state in rows]
