@@ -272,6 +272,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         ("threaded_rows_per_s", "threaded", "%.0f/s"),
         ("mp_rows_per_s", "mp", "%.0f/s"),
         ("rss_fraction_of_full_tensor", "rss", "%.3fx"),
+        ("shard_peak_mib", "shard-peak", "%.1f MiB"),
     )),
     Suite("faults", _measure("repro.faults.bench"), _faults_gates, (
         ("recovery_overhead_ratio", "overhead", "%.2fx"),

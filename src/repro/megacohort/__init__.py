@@ -6,10 +6,11 @@ ever materialising the full response tensor.  The pipeline:
 
 1. **Shard** the cohort (:mod:`~repro.megacohort.shards`): each shard
    draws its own rows from an independent PCG64 stream derived from the
-   run seed and the shard index, through the same
-   :func:`~repro.simulation.model.draw_response_blocks` /
-   :func:`~repro.simulation.model.scores_from_blocks` map the N=124
-   model uses.
+   run seed and the shard index, in the N=124 model's draw order
+   (:func:`~repro.simulation.model.draw_response_blocks`) and through
+   its :func:`~repro.simulation.model.trait_offset` /
+   :func:`~repro.simulation.model.items_from_trait` map, drawing and
+   scoring the item noise in row blocks.
 2. **Reduce** each shard to sufficient statistics
    (:class:`~repro.core.analysis.SurveyStats`): streaming Welford/Chan
    moment accumulators covering every Table 1–6 cell.

@@ -11,8 +11,10 @@ order, and computes the analysis from the merged statistics alone.
 
 Peak memory is bounded by the shards in flight, never by N: the full
 response tensor at N=1,000,000 would need roughly
-:func:`full_tensor_bytes` ≈ 1.8 GB, while the streamed run holds a few
-tens of MB per in-flight shard.
+:func:`full_tensor_bytes` ≈ 1.8 GB, while a shard draws and scores its
+item noise in row blocks and so holds ~20 MiB at its traced peak
+(default size; ``shard_peak_mib`` in ``BENCH_megacohort.json``) per
+in-flight shard.
 
 :func:`run_in_memory` is the reference path — ``ResponseModel →
 assemble_waves → analyze_waves``, the monolithic draw round-tripped

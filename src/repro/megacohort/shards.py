@@ -33,14 +33,17 @@ import numpy as np
 from repro.faults import hooks as faults
 from repro.core.analysis import SurveyStats
 from repro.simulation.model import (
+    ITEM_NOISE,
+    LIKERT_DTYPE,
     ModelKnobs,
-    draw_response_blocks,
-    scores_from_blocks,
+    items_from_trait,
+    trait_offset,
 )
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
     "FAULT_SITE",
+    "NOISE_BLOCK_ROWS",
     "ShardSpec",
     "plan_shards",
     "shard_rng",
@@ -49,11 +52,18 @@ __all__ = [
     "shard_stats_task",
 ]
 
-#: Default shard granularity.  At ~1.8 KB of draw+score footprint per
-#: row this keeps a shard's working set in the tens of megabytes —
-#: large enough that NumPy dominates the task, small enough that
-#: workers-many shards in flight stay far below the full-tensor cost.
+#: Default shard granularity.  A shard holds its trait draws and offset
+#: whole but draws and scores its item noise in
+#: :data:`NOISE_BLOCK_ROWS`-row blocks, so its traced peak is ~1.25 KB
+#: per row, ~20 MiB at this size — large enough that NumPy dominates
+#: the task, small enough that workers-many shards in flight stay far
+#: below the full-tensor cost.
 DEFAULT_SHARD_ROWS = 16384
+
+#: Rows of item noise a shard draws and scores at a time: one reused
+#: float64 buffer of ~1.1 MiB (at 7 skills and 5 items) that stays in
+#: cache, in place of two float64 tensors of the whole shard's items.
+NOISE_BLOCK_ROWS = 1024
 
 #: Fault-injection site fired once per shard-task attempt.
 FAULT_SITE = "megacohort.shard"
@@ -114,10 +124,33 @@ def shard_scores(
 
     Pure function of ``(spec, knobs, k, items_per_skill, seed)`` — the
     regeneration guarantee behind retry-based fault recovery.
+
+    Draws in the model's canonical order
+    (:func:`~repro.simulation.model.draw_response_blocks`): the student
+    factors and skill residuals whole, then the item noise in
+    :data:`NOISE_BLOCK_ROWS`-row blocks into one reused buffer, each
+    block scaled and scored before the next is drawn.
+    ``Generator.standard_normal`` fills its output in C order and keeps
+    no state between calls, so the blocks hold the same bits as one
+    whole draw; every element sees the same operations in the same
+    order, so the items equal the one-shot map's bit for bit.
     """
     rng = shard_rng(seed, spec.index)
-    p_raw, q_raw, e = draw_response_blocks(rng, spec.rows, k, items_per_skill)
-    return scores_from_blocks(knobs, p_raw, q_raw, e)
+    rows = spec.rows
+    p_raw = rng.standard_normal((rows, 2, 2, 2))
+    q_raw = rng.standard_normal((rows, k, 2, 2, 2))
+    offset = trait_offset(knobs, p_raw, q_raw)
+    shape = (k, 2, 2, items_per_skill)
+    scores = np.empty((rows, *shape), dtype=LIKERT_DTYPE)
+    buffer = np.empty((min(rows, NOISE_BLOCK_ROWS), *shape))
+    for lo in range(0, rows, NOISE_BLOCK_ROWS):
+        hi = min(lo + NOISE_BLOCK_ROWS, rows)
+        noise = buffer[:hi - lo]
+        rng.standard_normal(out=noise)
+        np.multiply(noise, ITEM_NOISE, out=noise)
+        scores[lo:hi] = items_from_trait(knobs.mu, offset[lo:hi], noise,
+                                         out=noise)
+    return scores
 
 
 def shard_stats(

@@ -50,7 +50,6 @@ __all__ = [
     "draw_response_blocks",
     "student_factors",
     "skill_residuals",
-    "scores_from_blocks",
     "trait_offset",
     "items_from_trait",
 ]
@@ -210,10 +209,11 @@ def draw_response_blocks(
     """The model's standard-normal building blocks ``(p_raw, q_raw, e)``.
 
     This is the model's *canonical draw order* — student factors, then
-    skill residuals, then item noise — shared by :class:`ResponseModel`
-    and the mega-cohort shard generator, so a single shard drawn from
-    the same stream reproduces the monolithic model's draws bit for
-    bit.
+    skill residuals, then item noise.  :class:`ResponseModel` draws
+    through it; the mega-cohort shard generator draws in the same order
+    (its item noise in row blocks, which yield the same bits), so a
+    single shard drawn from the same stream reproduces the monolithic
+    model's draws bit for bit.
     """
     p_raw = rng.standard_normal((n, 2, 2, 2))
     q_raw = rng.standard_normal((n, k, 2, 2, 2))
@@ -289,29 +289,6 @@ def items_from_trait(
     np.rint(latent, out=latent)
     np.clip(latent, 1, 5, out=latent)
     return latent.astype(LIKERT_DTYPE)
-
-
-def scores_from_blocks(
-    knobs: ModelKnobs,
-    p_raw: np.ndarray,
-    q_raw: np.ndarray,
-    e: np.ndarray,
-    latent_scale: float = LATENT_SCALE,
-    item_noise: float = ITEM_NOISE,
-) -> np.ndarray:
-    """Raw item scores (N, K, 2, 2, items) from standard-normal blocks.
-
-    The pure generation map behind :meth:`ResponseModel.generate`,
-    shared with the mega-cohort shard path: :func:`trait_offset`, then
-    :func:`items_from_trait` over the scaled noise.  The floating-point
-    operation order is the identity anchor, so change it only with the
-    N=124 bit-identity test in hand.  Besides the trait arrays, the map
-    allocates one float buffer of the items' shape: the noise is scaled
-    into it, and the trait is added, rounded and clipped there in place.
-    """
-    offset = trait_offset(knobs, p_raw, q_raw, latent_scale)
-    noise = np.multiply(e, item_noise)
-    return items_from_trait(knobs.mu, offset, noise, out=noise)
 
 
 class ResponseModel:

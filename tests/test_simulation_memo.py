@@ -14,16 +14,29 @@ import pytest
 from repro.core.targets import PAPER, simulation_targets
 from repro.simulation import model as model_mod
 from repro.simulation.model import (
+    ITEM_NOISE,
     ModelKnobs,
     ResponseModel,
     _pearson_pairs,
     derived_scores,
     draw_response_blocks,
-    scores_from_blocks,
+    items_from_trait,
 )
 
 TARGETS = simulation_targets(PAPER)
 SEED = 2018
+
+
+def scores_from_blocks(knobs, p_raw, q_raw, e):
+    """The generation map over whole standard-normal blocks, one op at a
+    time: ``trait_offset`` (looked up on the module, so a test can count
+    its calls), then :func:`items_from_trait` over the noise scaled into
+    a buffer of the items' shape.  The memoized model and the
+    mega-cohort's row-blocked shards must equal it bit for bit.
+    """
+    offset = model_mod.trait_offset(knobs, p_raw, q_raw)
+    noise = np.multiply(e, ITEM_NOISE)
+    return items_from_trait(knobs.mu, offset, noise, out=noise)
 
 
 def _fresh_scores(knobs):
