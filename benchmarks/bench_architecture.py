@@ -1,34 +1,10 @@
-"""Architecture substrate shapes: ISA comparison and cache locality.
+"""Architecture substrate shapes: cache locality.
 
-Not a paper table, but the executable form of the course content the
-paper's assignments quiz (ISA comparison axes; Assignment 3's
-memory-architecture questions) and of the HPC guide's cache-effects
-section — with the qualitative shapes asserted.
+Not a paper table, but the executable form of the HPC guide's
+cache-effects section — with the qualitative shapes asserted.
 """
 
-from repro.arch import compare_isas
 from repro.rpi.cache import MemoryHierarchy
-
-
-def test_isa_comparison(benchmark):
-    comparison = benchmark(compare_isas, list(range(1, 101)))
-
-    print()
-    print(comparison.render())
-
-    assert comparison.result_risc == comparison.result_cisc == 5050
-    # RISC: fixed 4-byte encoding; CISC: variable, denser per instruction
-    # count but each memory operand costs an inline disp32.
-    assert comparison.risc_fixed_width == 4
-    assert comparison.cisc_min_width < 4 <= comparison.cisc_max_width
-    # Load/store discipline: RISC needs an explicit load per element.
-    assert comparison.risc_loads == 100
-    assert comparison.cisc_memory_operand_ops == 100
-    # CISC folds the load into the add: fewer dynamic instructions.
-    assert comparison.cisc_executed < comparison.risc_executed
-    # Immediates: 12-bit inline vs 32-bit inline.
-    assert comparison.risc_max_inline_immediate == 4095
-    assert comparison.cisc_max_inline_immediate == 2**31 - 1
 
 
 def test_cache_row_vs_column_major(benchmark):

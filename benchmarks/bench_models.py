@@ -1,33 +1,12 @@
-"""Model benches: thermal throttling, distributed sort, pipeline, SIMT.
+"""Model bench: distributed sort by range partitioning.
 
-Each asserts its defining qualitative shape — the lab observations the
+It asserts its defining qualitative shape — the lab observation the
 course content predicts.
 """
 
 import random
 
-from repro.arch.gpu import SIMTMachine
-from repro.arch.pipeline import Instr, Op, run_pipeline
 from repro.mapreduce import MapReduceEngine, distributed_sort_job
-from repro.rpi import ThermalConfig, ThermalModel
-
-
-def test_thermal_throttling(benchmark):
-    def sustained_load():
-        model = ThermalModel()
-        return model.run(active_cores=4, seconds=300)
-
-    trace = benchmark(sustained_load)
-    first = next(s for s in trace if s.throttled)
-    print()
-    print(f"  4-core load: throttles at t={first.t_seconds:.0f}s "
-          f"({first.temperature_c:.1f}C), settles at "
-          f"{trace[-1].temperature_c:.1f}C @ {trace[-1].clock_ghz} GHz")
-    assert trace[-1].throttled
-    # A heatsink (halved thermal resistance) keeps full clock.
-    heatsink = ThermalModel(config=ThermalConfig(thermal_resistance=4.0))
-    heatsink.run(4, 600)
-    assert not heatsink.throttled
 
 
 def test_distributed_sort(benchmark):
@@ -49,47 +28,3 @@ def test_distributed_sort(benchmark):
     print()
     print(f"  bucket sizes (range partitioning): {sizes}")
     assert sum(sizes) == len(values)
-
-
-def test_pipeline_cpi(benchmark):
-    program = []
-    for i in range(0, 200, 4):
-        program += [
-            Instr(Op.LOAD, dest=1, sources=(2,)),
-            Instr(Op.ALU, dest=3, sources=(1,)),     # load-use bubble
-            Instr(Op.ALU, dest=4, sources=(3,)),
-            Instr(Op.STORE, dest=None, sources=(4,)),
-        ]
-
-    def all_three():
-        return (
-            run_pipeline(program, pipelined=False),
-            run_pipeline(program, forwarding=False),
-            run_pipeline(program, forwarding=True),
-        )
-
-    unpipelined, stalled, forwarded = benchmark(all_three)
-    print()
-    print(f"  CPI: unpipelined {unpipelined.cpi:.2f}, no-forwarding "
-          f"{stalled.cpi:.2f}, forwarding {forwarded.cpi:.2f}")
-    assert forwarded.cpi < stalled.cpi < unpipelined.cpi
-    assert forwarded.cpi < 1.6   # one bubble per 4 instructions + fill
-
-
-def test_simt_divergence(benchmark):
-    gpu = SIMTMachine(warp_width=8)
-
-    def three_kernels():
-        uniform = gpu.run_kernel(4096, lambda i: 0, lambda i, k: i * 2)
-        diverged = gpu.run_kernel(4096, lambda i: i % 2, lambda i, k: i * 2)
-        sorted_keys = gpu.run_kernel(4096, lambda i: i // 2048, lambda i, k: i * 2)
-        return uniform, diverged, sorted_keys
-
-    uniform, diverged, sorted_keys = benchmark(three_kernels)
-    print()
-    print(f"  warp instructions: uniform {uniform.warp_instructions}, "
-          f"divergent {diverged.warp_instructions}, "
-          f"key-sorted {sorted_keys.warp_instructions}")
-    assert diverged.warp_instructions == 2 * uniform.warp_instructions
-    assert sorted_keys.warp_instructions == uniform.warp_instructions
-    assert uniform.output == diverged.output == sorted_keys.output

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import PBLStudy
 from repro.core.targets import PAPER
-from repro.survey import Category, wave_reliability
+from repro.survey import Category
+from repro.survey.reliability import wave_reliability
 
 SEEDS = (2018, 7, 42, 1, 555)
 

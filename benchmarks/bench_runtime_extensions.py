@@ -1,17 +1,17 @@
-"""Runtime extensions: tasks, locks, MPI collectives, speculation.
+"""Runtime extensions: tasks, MPI collectives, speculation.
 
 Benchmarks for the subsystems built beyond the paper's minimum — the
-OpenMP task pool on a recursive tree, lock throughput under contention,
-the MPI collective set, the distributed drug-design solver, and straggler
-speculation — each with its defining property asserted.
+OpenMP task pool on a recursive tree, the MPI collective set, the
+distributed drug-design solver, and straggler speculation — each with
+its defining property asserted.
 """
 
 from repro.drugdesign import generate_ligands, solve_mpi, solve_sequential
 from repro.drugdesign.ligands import DEFAULT_PROTEIN
 from repro.mapreduce import word_count_job
 from repro.mapreduce.stragglers import SlowTask, SpeculativeEngine
-from repro.mpi import mpi_run, pi_integration
-from repro.openmp import OMPLock, OpenMP, TaskGroup
+from repro.mpi import mpi_run
+from repro.openmp import OpenMP, TaskGroup
 
 
 def test_task_tree_fib(benchmark):
@@ -29,22 +29,6 @@ def test_task_tree_fib(benchmark):
     assert benchmark(run) == 987
 
 
-def test_lock_contention(benchmark):
-    def run():
-        lock = OMPLock()
-        shared = {"v": 0}
-
-        def body(ctx):
-            for _ in range(250):
-                with lock:
-                    shared["v"] += 1
-
-        OpenMP(4).parallel(body)
-        return shared["v"]
-
-    assert benchmark(run) == 1000
-
-
 def test_mpi_allreduce_throughput(benchmark):
     def run():
         return mpi_run(
@@ -52,12 +36,6 @@ def test_mpi_allreduce_throughput(benchmark):
         )
 
     assert benchmark(run) == [10, 10, 10, 10]
-
-
-def test_mpi_pi(benchmark):
-    import math
-    estimate = benchmark(pi_integration, 4, 20_000)
-    assert abs(estimate - math.pi) < 1e-8
 
 
 def test_mpi_drug_design(benchmark):

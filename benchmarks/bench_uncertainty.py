@@ -10,13 +10,8 @@ Also runs the §V distributed-memory stencil as a regression bench.
 """
 
 from repro.mpi import heat_mpi, heat_sequential
-from repro.stats import (
-    bootstrap_paired_ci,
-    cohens_d_paper,
-    paired_t_power,
-    pearson,
-    required_n_paired_t,
-)
+from repro.stats import bootstrap_paired_ci, cohens_d_paper, pearson
+from repro.stats.power import paired_t_power, required_n_paired_t
 from repro.survey.scales import Category
 from repro.survey.scoring import cohort_scores
 

@@ -1,5 +1,5 @@
-"""Advanced runtime features: tasks, locks, OMP environment, thermal
-throttling, speculative MapReduce, CI workflows, and the full gradebook.
+"""Advanced runtime features: tasks, the OMP environment, speculative
+MapReduce, distributed sort, and the full gradebook.
 
 Usage::
 
@@ -15,11 +15,8 @@ from repro.cohort import form_teams, make_paper_sections
 from repro.course import simulate_gradebook
 from repro.mapreduce import MapReduceEngine, distributed_sort_job, word_count_job
 from repro.mapreduce.stragglers import SlowTask, SpeculativeEngine
-from repro.openmp import OMPEnvironment, OMPLock, OpenMP, TaskGroup
-from repro.rpi import ThermalConfig, ThermalModel
-from repro.teamtech import AutomatedRepository, Trigger, Workflow
-from repro.teamtech.github import Repository
-from repro.teamtech.workflows import report_checks
+from repro.openmp import OpenMP, TaskGroup
+from repro.openmp.env import OMPEnvironment
 
 
 def main() -> None:
@@ -34,33 +31,12 @@ def main() -> None:
 
     print(f"fib(22) = {group.run(fib, 22)} (thousands of tasks, 4 threads)")
 
-    print("\n=== OMP locks + environment ===")
+    print("\n=== OMP environment ===")
     env = OMPEnvironment.from_mapping({
         "OMP_NUM_THREADS": "4", "OMP_SCHEDULE": "dynamic,2",
     })
     print(f"OMP_NUM_THREADS=4 OMP_SCHEDULE=dynamic,2 -> "
           f"{env.num_threads} threads, {env.schedule}")
-    lock = OMPLock()
-    box = {"hits": 0}
-
-    def body(ctx):
-        for _ in range(1000):
-            with lock:
-                box["hits"] += 1
-
-    env.runtime().parallel(body)
-    print(f"lock-protected counter after 4x1000 increments: {box['hits']}")
-
-    print("\n=== Thermal throttling under a 4-core run ===")
-    model = ThermalModel()
-    trace = model.run(active_cores=4, seconds=300)
-    first = next((s for s in trace if s.throttled), None)
-    print(f"bare board: throttles at t={first.t_seconds:.0f}s; "
-          f"settles {trace[-1].temperature_c:.1f}C @ {trace[-1].clock_ghz} GHz")
-    heatsink = ThermalModel(config=ThermalConfig(thermal_resistance=4.0))
-    hs_trace = heatsink.run(4, 300)
-    print(f"with heatsink: {hs_trace[-1].temperature_c:.1f}C @ "
-          f"{hs_trace[-1].clock_ghz} GHz (never throttles)")
 
     print("\n=== Speculative execution masks a straggler ===")
     docs = [(f"d{i}", "lorem ipsum dolor sit " * 4) for i in range(16)]
@@ -81,21 +57,6 @@ def main() -> None:
     flat = [k for b in result.per_reduce_outputs for k, c in b for _ in range(c)]
     print(f"1000 floats through 4 range buckets: globally sorted = "
           f"{flat == sorted(values)}")
-
-    print("\n=== CI workflow gates the report PR ===")
-    auto = AutomatedRepository(repo=Repository(name="team"))
-    auto.repo.commit("main", "alice", "init", {"README.md": "pbl team"})
-    auto.register(Workflow("ci", Trigger.ON_PULL_REQUEST, report_checks()))
-    auto.repo.create_branch("a2")
-    auto.repo.commit("a2", "bob", "draft", {"report.md": "  "})
-    pr, runs = auto.open_pull_request("a2", "bob", "Assignment 2 report")
-    print(f"draft PR checks: passed={runs[0].passed} "
-          f"failed={runs[0].failed_checks()}")
-    auto.repo.commit("a2", "bob", "write the report",
-                     {"report.md": "Observations: fork-join prints ..."})
-    pr2, runs2 = auto.open_pull_request("a2", "bob", "Assignment 2 report v2")
-    auto.merge(pr2, approver="alice")
-    print(f"fixed PR merged: {pr2.merged}")
 
     print("\n=== The full gradebook ===")
     s1, s2 = make_paper_sections()

@@ -1,30 +1,18 @@
-"""The computer-architecture lab: Flynn taxonomy, memory models, ISA
-comparison, and cache effects.
+"""The computer-architecture lab: Flynn taxonomy and cache effects.
 
 Usage::
 
     python examples/architecture_lab.py
 
 Makes the CSc 3210 / Assignment 3 architecture content executable: runs a
-kernel on all four Flynn machine models, measures UMA/NUMA/distributed
-access costs, compares the RISC-mini and CISC-mini ISAs on real byte
-encodings, and reproduces the cache-locality experiments from the HPC
-course notes on the Pi's modelled memory hierarchy.
+kernel on all four Flynn machine models and reproduces the
+cache-locality experiments from the HPC course notes on the Pi's
+modelled memory hierarchy.
 """
 
 from __future__ import annotations
 
-from repro.arch import (
-    DistributedMemory,
-    MIMDMachine,
-    MISDMachine,
-    NUMAMemory,
-    SIMDMachine,
-    SISDMachine,
-    UMAMemory,
-    compare_isas,
-)
-from repro.arch.memory import RemoteAccessError, shared_vs_threads_comparison
+from repro.arch import MIMDMachine, MISDMachine, SIMDMachine, SISDMachine
 from repro.rpi.cache import MemoryHierarchy
 
 
@@ -44,24 +32,6 @@ def main() -> None:
     print(f"MISD: 3 instruction streams over one datum -> {misd.output[0]}")
     mimd = MIMDMachine().run([sum, max, min], [[1, 2, 3], [4, 9], [7, 0]])
     print(f"MIMD: independent programs/data -> {mimd.output}")
-
-    print("\n=== Memory architectures " + "=" * 36)
-    uma, numa, dist = UMAMemory(), NUMAMemory(), DistributedMemory()
-    print(f"UMA:  core 0 -> addr 10: {uma.access_us(0, 10)} us; "
-          f"core 3 -> addr 10: {uma.access_us(3, 10)} us (uniform)")
-    print(f"NUMA: core 0 -> addr 10 (local): {numa.access_us(0, 10)} us; "
-          f"core 3 -> addr 10 (remote): {numa.access_us(3, 10)} us")
-    try:
-        dist.access_us(0, dist.node_size + 1)
-    except RemoteAccessError as error:
-        print(f"distributed: {error}")
-    print(f"distributed: moving 1 KiB by message costs {dist.message_us(1024):.1f} us")
-    print("\nshared-memory model vs threads model:")
-    for aspect, shared, threads in shared_vs_threads_comparison():
-        print(f"  {aspect:20s} | {shared:40s} | {threads}")
-
-    print("\n=== RISC (ARM-like) vs CISC (x86-like) " + "=" * 22)
-    print(compare_isas(list(range(1, 33))).render())
 
     print("\n=== Cache effects on the modelled Pi hierarchy " + "=" * 14)
     h = MemoryHierarchy()

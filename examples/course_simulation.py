@@ -5,14 +5,12 @@ Usage::
     python examples/course_simulation.py
 
 Forms the two sections' teams, walks one team through the semester —
-Pi bring-up, teamwork technologies, the ISA comparison task, grading with
-the peer-rating zero rules, and the (future-work) rubric — and prints the
-Fig. 1 timeline it all hangs off.
+Pi bring-up, peer ratings, and grading with the peer-rating zero rules —
+and prints the Fig. 1 timeline it all hangs off.
 """
 
 from __future__ import annotations
 
-from repro.arch import compare_isas
 from repro.cohort import (
     PeerRating,
     PeerRatingForm,
@@ -23,7 +21,7 @@ from repro.cohort import (
     random_teams,
     rotate_coordinators,
 )
-from repro.course import all_assignments, paper_timeline, project_rubric
+from repro.course import all_assignments
 from repro.course.grading import AssignmentGrade, StudentRecord, grade_student
 from repro.reporting import render_fig1_timeline
 from repro.rpi import PiSetup
@@ -53,9 +51,6 @@ def main() -> None:
     print(f"  steps performed: {[s.value for s in setup.completed]}")
     print(f"  desktop visible: {setup.desktop_visible()}")
 
-    print("\nISA comparison task (sum a 20-element array):")
-    print("  " + compare_isas(list(range(1, 21))).render().replace("\n", "\n  "))
-
     print("\npeer ratings for Assignment 1:")
     form = PeerRatingForm(
         team_id=team.team_id, assignment_number=1,
@@ -82,14 +77,6 @@ def main() -> None:
     grade = grade_student(record)
     print(f"  per-assignment PBL scores: {grade.pbl_scores}")
     print(f"  course total: {grade.total:.1f}")
-
-    print("\nrubric-scored report (the paper's Spring-2019 plan):")
-    rubric = project_rubric()
-    score = rubric.score({
-        "planning": "proficient", "collaboration": "exemplary",
-        "programs": "exemplary", "report": "developing", "video": "proficient",
-    })
-    print(f"  {rubric.title}: {score}/100")
 
     print(f"\nassignment catalogue: "
           f"{[(a.number, a.title) for a in all_assignments()]}")

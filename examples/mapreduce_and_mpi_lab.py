@@ -6,13 +6,11 @@ Usage::
 
 Part 1 runs the canonical MapReduce computations (word count with fault
 injection, distributed grep, inverted index, per-key mean).  Part 2 runs
-the Getting-Started-with-MPI programs on the message-passing simulator:
-hello ranks, ring pass, pi by integration, parallel max.
+the 1-D heat stencil with halo exchange on the message-passing
+simulator.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.mapreduce import (
     MapReduceEngine,
@@ -22,14 +20,7 @@ from repro.mapreduce import (
     mean_by_key_job,
     word_count_job,
 )
-from repro.mpi import (
-    heat_mpi,
-    heat_sequential,
-    hello_world,
-    parallel_max,
-    pi_integration,
-    ring_pass,
-)
+from repro.mpi import heat_mpi, heat_sequential
 
 DOCUMENTS = [
     ("genesis", "in the beginning was the map and the map was with reduce"),
@@ -66,20 +57,6 @@ def main() -> None:
     print(f"mean temperature per day: {means}")
 
     print("\n=== Part 2: MPI (the paper's planned extension) " + "=" * 14)
-    for greeting in hello_world(4):
-        print(f"  {greeting}")
-
-    tokens = ring_pass(5)
-    print(f"ring pass on 5 ranks: rank 0 receives {tokens[0]} "
-          f"(= sum of ranks {sum(range(5))})")
-
-    estimate = pi_integration(4, 100_000)
-    print(f"pi by integration on 4 ranks: {estimate:.10f} "
-          f"(error {abs(estimate - math.pi):.2e})")
-
-    print(f"parallel max of [3, 9.5, -2, 7.1] on 3 ranks: "
-          f"{parallel_max([3.0, 9.5, -2.0, 7.1], n_ranks=3)}")
-
     rod = [0.0] * 16
     rod[0], rod[-1] = 100.0, 50.0
     sequential = heat_sequential(rod, steps=80)

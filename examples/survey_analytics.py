@@ -5,18 +5,18 @@ Usage::
     python examples/survey_analytics.py
 
 Goes beyond the paper's own tables: internal-consistency (Cronbach's
-alpha) per element, a one-way ANOVA across the 26 teams' growth scores,
-a section-vs-section comparison, and the Discussion section's derived
-quantities — all computed from the same raw item-level responses that
-regenerate Tables 1–6.
+alpha) per element, a section-vs-section comparison, and the Discussion
+section's derived quantities — all computed from the same raw item-level
+responses that regenerate Tables 1–6.
 """
 
 from __future__ import annotations
 
 from repro.core import PBLStudy
 from repro.core.targets import W1, W2
-from repro.stats import one_way_anova, ttest_welch
-from repro.survey import Category, wave_reliability
+from repro.stats import ttest_welch
+from repro.survey import Category
+from repro.survey.reliability import wave_reliability
 from repro.survey.scoring import cohort_scores
 
 
@@ -30,20 +30,9 @@ def main() -> None:
         for element, alpha in wave_reliability(wave2, category).items():
             print(f"  {element:32s} {alpha}")
 
-    print("\n=== Growth by team (one-way ANOVA, wave 2) ===")
+    print("\n=== Section 1 vs section 2 (Welch t, wave 2 growth) ===")
     scores = cohort_scores(wave2, Category.PERSONAL_GROWTH)
     index = {sid: i for i, sid in enumerate(scores.student_ids)}
-    groups = []
-    for team in result.teams:
-        members = [index[m.student_id] for m in team.members]
-        groups.append([scores.overall[i] for i in members])
-    anova = one_way_anova(groups)
-    print(f"  {anova}")
-    print(f"  (teams are formed by balancing ability, and the response "
-          f"model has no team effect, so a significant F would be "
-          f"surprising: significant={anova.significant()})")
-
-    print("\n=== Section 1 vs section 2 (Welch t, wave 2 growth) ===")
     s1_ids = {s.student_id for s in result.sections[0].students}
     s1 = [scores.overall[index[sid]] for sid in scores.student_ids if sid in s1_ids]
     s2 = [scores.overall[index[sid]] for sid in scores.student_ids if sid not in s1_ids]

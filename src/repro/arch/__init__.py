@@ -1,17 +1,9 @@
-"""Computer-architecture substrate for Assignments 2–3 and the course's
-ISA-comparison thread.
+"""Computer-architecture substrate for Assignments 2–3.
 
 - :mod:`repro.arch.flynn` — executable models of Flynn's taxonomy
   (Assignment 2: "multi-processor computer architectures (e.g. SISD,
   SIMD, MISD, and MIMD)"; Assignment 3: "Classify parallel computers
   based on Flynn's taxonomy").
-- :mod:`repro.arch.memory` — parallel computer memory architectures
-  (UMA / NUMA / distributed) and the parallel-programming-model catalog
-  (Assignment 3's questions).
-- :mod:`repro.arch.isa` — a tiny RISC (ARM-like) and CISC (x86-like)
-  machine pair with assemblers and interpreters, for the course's
-  "compare ARM with Intel X86 in terms of data movement, instruction
-  encoding, immediate value representation, and memory layout" task.
 """
 
 from repro.arch.flynn import (
@@ -21,43 +13,11 @@ from repro.arch.flynn import (
     SISDMachine,
     classify,
 )
-from repro.arch.gpu import SIMTMachine, SIMTResult
-from repro.arch.isa import (
-    CISCMachine,
-    RISCMachine,
-    compare_isas,
-    assemble_cisc,
-    assemble_risc,
-)
-from repro.arch.pipeline import Instr, Op, PipelineResult, run_pipeline
-from repro.arch.memory import (
-    MEMORY_ARCHITECTURES,
-    PROGRAMMING_MODELS,
-    DistributedMemory,
-    NUMAMemory,
-    UMAMemory,
-)
 
 __all__ = [
-    "CISCMachine",
-    "DistributedMemory",
-    "Instr",
-    "MEMORY_ARCHITECTURES",
     "MIMDMachine",
     "MISDMachine",
-    "NUMAMemory",
-    "Op",
-    "PipelineResult",
-    "PROGRAMMING_MODELS",
-    "RISCMachine",
-    "SIMTMachine",
-    "SIMTResult",
     "SIMDMachine",
     "SISDMachine",
-    "UMAMemory",
-    "assemble_cisc",
-    "assemble_risc",
     "classify",
-    "compare_isas",
-    "run_pipeline",
 ]

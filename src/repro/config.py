@@ -7,14 +7,10 @@ compiled-in default.  Slow CI machines raise the ceiling with one
 exported variable instead of editing source.
 
 The same rule selects the numeric-kernel backend: an explicit argument
-wins, else ``REPRO_KERNELS`` (``numpy``, ``python``, or ``mp``), else
-the compiled-in default (``numpy``).  ``python`` keeps every hot loop on
+wins, else ``REPRO_KERNELS`` (``numpy`` or ``python``), else the
+compiled-in default (``numpy``).  ``python`` keeps every hot loop on
 the scalar reference implementations — the correctness oracle the
-:mod:`repro.kernels` property tests compare against.  ``mp`` shards the
-stencil and batched-LCS kernels across a pool of worker *processes*
-(escaping the GIL), handing NumPy arrays over via
-``multiprocessing.shared_memory``; every other kernel falls back to the
-in-process NumPy path.
+:mod:`repro.kernels` property tests compare against.
 
 The multiprocess layer has two knobs of its own: ``REPRO_MP_WORKERS``
 (pool size; default ``min(4, cpu_count)``, but never below 2 so the
@@ -47,9 +43,8 @@ REPRO_TIMEOUT_ENV = "REPRO_TIMEOUT_S"
 #: Environment override for the numeric-kernel backend.
 REPRO_KERNELS_ENV = "REPRO_KERNELS"
 
-#: Valid kernel backends: vectorized NumPy fast path, scalar oracle,
-#: multiprocess shared-memory sharding.
-KERNEL_BACKENDS = ("numpy", "python", "mp")
+#: Valid kernel backends: vectorized NumPy fast path, scalar oracle.
+KERNEL_BACKENDS = ("numpy", "python")
 
 #: Environment override for the multiprocess pool size.
 REPRO_MP_WORKERS_ENV = "REPRO_MP_WORKERS"

@@ -11,8 +11,6 @@
 - :mod:`repro.course.grading` — the grading policy: PBL is 25 % of the
   course grade split equally over the five assignments, peer-rating-based
   zero rules, quizzes and exams.
-- :mod:`repro.course.rubrics` — the project rubric the paper plans for
-  Spring 2019 (its §V future work).
 """
 
 from repro.course.assignments import (
@@ -30,7 +28,6 @@ from repro.course.grading import (
 from repro.course.materials import MATERIALS, Material
 from repro.course.quizzes import Quiz, QuizQuestion, grade_quiz, quiz_bank
 from repro.course.simulate import SimulatedGradebook, simulate_gradebook
-from repro.course.rubrics import Rubric, RubricCriterion, project_rubric
 from repro.course.timeline import Semester, SemesterEvent, paper_timeline
 
 __all__ = [
@@ -43,8 +40,6 @@ __all__ = [
     "Material",
     "Quiz",
     "QuizQuestion",
-    "Rubric",
-    "RubricCriterion",
     "Semester",
     "SimulatedGradebook",
     "SemesterEvent",
@@ -52,7 +47,6 @@ __all__ = [
     "all_assignments",
     "grade_quiz",
     "paper_timeline",
-    "project_rubric",
     "quiz_bank",
     "run_assignment_programs",
     "simulate_gradebook",

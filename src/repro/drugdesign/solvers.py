@@ -224,35 +224,8 @@ def _score_group(batch: list[str], protein: str) -> list[tuple[int, str]]:
     return list(zip(lcs_scores_bitparallel(batch, protein), batch))
 
 
-def _auto_chunk(ligands: list[str], protein: str, scheduler: Any) -> int:
-    """Measured chunk size: dispatch overhead vs per-ligand kernel time.
-
-    The per-item probe scores a small sample through the kernel
-    directly — not through :func:`score_ligand` — so no chaos hook fires
-    and no fault schedule shifts; the dispatch probe runs on a throwaway
-    executor (:func:`repro.sched.tune.measure_dispatch_overhead_s`), so
-    the caller's canonical event log stays a pure function of the real
-    sweep.
-    """
-    from repro.sched import tune as _tune
-
-    if not ligands:
-        return 1
-    sample = ligands[: min(16, len(ligands))]
-    start = time.perf_counter()
-    kernels.lcs_scores(sample, protein)
-    per_item_s = (time.perf_counter() - start) / len(sample)
-    overhead_s = _tune.measure_dispatch_overhead_s(
-        mode=getattr(scheduler, "mode", "threaded"),
-        n_workers=scheduler.n_workers,
-    )
-    return _tune.autotune_chunk(
-        overhead_s, per_item_s, len(ligands), scheduler.n_workers
-    )
-
-
 def solve_sched(
-    ligands: list[str], protein: str, scheduler: Any, chunk: int | str = 1
+    ligands: list[str], protein: str, scheduler: Any, chunk: int = 1
 ) -> DrugDesignResult:
     """Score through a :class:`repro.sched.WorkStealingExecutor`.
 
@@ -263,9 +236,7 @@ def solve_sched(
     ligands, each scored with one batched kernel call
     (:func:`score_ligands`) — the amortized dispatch path the kernel
     benchmark measures: k ligands ride one scheduler round-trip instead
-    of k.  ``chunk="auto"`` sizes k from the measured dispatch overhead
-    (:mod:`repro.sched.tune`); the measurement is wall-clock, so pass an
-    explicit chunk where the task structure must replay exactly.
+    of k.
 
     On a ``mode="mp"`` scheduler (and no active fault session) each
     group ships to a pool child as a picklable :class:`Call` — same
@@ -274,8 +245,6 @@ def solve_sched(
     """
     from repro.sched.core import Call
 
-    if chunk == "auto":
-        chunk = _auto_chunk(ligands, protein, scheduler)
     if not isinstance(chunk, int) or isinstance(chunk, bool) or chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk!r}")
     ship = (getattr(scheduler, "mode", "threaded") == "mp"

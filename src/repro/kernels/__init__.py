@@ -11,13 +11,10 @@ through one **backend registry**:
   :mod:`~repro.kernels.stencil` and :mod:`~repro.kernels.resample`;
 - ``python`` — the original scalar implementations, kept verbatim as
   the correctness oracle the property tests compare against
-  (bit-identical integers and floats, not approximately equal);
-- ``mp`` — the batched-LCS and heat-stencil kernels shard across a
-  process pool (:mod:`~repro.kernels.mp`) with
-  ``multiprocessing.shared_memory`` array handoff, escaping the GIL;
-  every other kernel (and any input too small to amortise the hop)
-  falls back to the in-process ``numpy`` path.  Results stay
-  bit-identical to the oracle on every backend.
+  (bit-identical integers and floats, not approximately equal).
+
+Work that should escape the GIL goes through the scheduler's process
+pool (``WorkStealingExecutor(mode="mp")``), not through a kernel backend.
 
 Selection follows the repo-wide knob rule (:mod:`repro.config`): an
 explicit :func:`set_backend` / :func:`use_backend` wins, else the
@@ -93,7 +90,7 @@ def lcs_score(ligand: str, protein: str) -> int:
                         m=len(ligand), n=len(protein)):
         if chosen == "python":
             return _lcs.lcs_score_python(ligand, protein)
-        return _lcs.lcs_score_bitparallel(ligand, protein)   # numpy and mp alike
+        return _lcs.lcs_score_bitparallel(ligand, protein)
 
 
 def lcs_scores(ligands: Sequence[str], protein: str) -> list[int]:
@@ -103,10 +100,6 @@ def lcs_scores(ligands: Sequence[str], protein: str) -> list[int]:
                         batch=len(ligands), n=len(protein)):
         if chosen == "numpy":
             scores = _lcs.lcs_scores_bitparallel(ligands, protein)
-        elif chosen == "mp":
-            from repro.kernels import mp as _mp
-
-            scores = _mp.lcs_scores_mp(ligands, protein)
         else:
             scores = _lcs.lcs_scores_python(ligands, protein)
     telemetry.inc("kernel.lcs.ligands", len(ligands))
@@ -120,10 +113,6 @@ def heat_steps(u0: Sequence[float], alpha: float, steps: int) -> list[float]:
                         cells=len(u0), steps=steps):
         if chosen == "numpy":
             return _stencil.heat_steps_numpy(u0, alpha, steps)
-        if chosen == "mp":
-            from repro.kernels import mp as _mp
-
-            return _mp.heat_steps_mp(u0, alpha, steps)
         return _stencil.heat_steps_python(u0, alpha, steps)
 
 
@@ -143,7 +132,6 @@ def heat_block_step(
             return _stencil.heat_block_step_python(
                 block, ghost_left, ghost_right, alpha, start, n
             )
-        # numpy and mp alike: one block step is too small to ship.
         return _stencil.heat_block_step_numpy(
             block, ghost_left, ghost_right, alpha, start, n
         )
@@ -158,8 +146,6 @@ def bootstrap_estimates(data, name: str, n_resamples: int, seed: int):
             return resample.bootstrap_estimates_python(
                 data, name, n_resamples, seed
             )
-        # numpy and mp alike: sharding would split the single PCG64
-        # stream and change the draws — vectorized-in-process it stays.
         return resample.bootstrap_estimates_numpy(data, name, n_resamples, seed)
 
 

@@ -14,7 +14,6 @@ executable:
   distributed grep, inverted index, URL access count, per-key mean.
 """
 
-from repro.mapreduce.counters import CounterSet, TaskCounters, run_with_counters
 from repro.mapreduce.engine import (
     JobResult,
     MapReduceEngine,
@@ -32,11 +31,9 @@ from repro.mapreduce.jobs import (
 )
 
 __all__ = [
-    "CounterSet",
     "JobResult",
     "MapReduceEngine",
     "MapReduceSpec",
-    "TaskCounters",
     "TaskFailure",
     "distributed_sort_job",
     "grep_job",
@@ -44,6 +41,5 @@ __all__ = [
     "make_range_partitioner",
     "mean_by_key_job",
     "url_access_count_job",
-    "run_with_counters",
     "word_count_job",
 ]

@@ -22,15 +22,12 @@ memory host, which is exactly how students first run MPI on one Pi.
 - :mod:`repro.mpi.comm` — point-to-point (blocking + nonblocking) and the
   collective set (bcast/scatter/gather/allgather/reduce/allreduce/
   barrier/scan/alltoall).
-- :mod:`repro.mpi.programs` — the Getting-Started programs: hello, ring,
-  numerical integration of pi, parallel max.
 - :mod:`repro.mpi.stencil` — 1-D heat diffusion with halo exchange, the
   canonical distributed-memory stencil (float-identical to the
   sequential solver).
 """
 
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator, MPIError, Request, mpi_run
-from repro.mpi.programs import hello_world, parallel_max, pi_integration, ring_pass
 from repro.mpi.stencil import heat_mpi, heat_sequential
 
 __all__ = [
@@ -41,9 +38,5 @@ __all__ = [
     "Request",
     "heat_mpi",
     "heat_sequential",
-    "hello_world",
     "mpi_run",
-    "parallel_max",
-    "pi_integration",
-    "ring_pass",
 ]

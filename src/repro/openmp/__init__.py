@@ -27,8 +27,6 @@ Public API
   concerns" patternlet).
 """
 
-from repro.openmp.env import OMPEnvironment, WallClock, parse_schedule
-from repro.openmp.locks import LockError, OMPLock, OMPNestLock
 from repro.openmp.loops import (
     LoopTrace,
     OrderedRegion,
@@ -49,12 +47,8 @@ from repro.openmp.tasks import TaskGroup, TaskHandle
 
 __all__ = [
     "AtomicCounter",
-    "LockError",
-    "OMPEnvironment",
     "LoopTrace",
-    "OMPLock",
     "OrderedRegion",
-    "OMPNestLock",
     "OpenMP",
     "ParallelContext",
     "ParallelError",
@@ -68,7 +62,5 @@ __all__ = [
     "TaskGroup",
     "TaskHandle",
     "TeamWorker",
-    "WallClock",
     "chunk_iterations",
-    "parse_schedule",
 ]

@@ -138,10 +138,8 @@ def _worker_main(conn, worker_index: int) -> None:
     """Pool child: receive ``(seq, Call)``, reply ``(seq, ok, payload)``.
 
     A ``None`` message is the shutdown sentinel.  Forked children may
-    inherit an active telemetry or fault-injection session and the
-    parent's kernel-backend selection; all three are reset so a shipped
-    task body runs plain (hooks fire parent-side, and a child resolving
-    backend ``mp`` must not recurse into a nested pool).
+    inherit an active telemetry or fault-injection session; both are
+    reset so a shipped task body runs plain (hooks fire parent-side).
     """
     try:
         from repro import faults, telemetry
@@ -150,10 +148,6 @@ def _worker_main(conn, worker_index: int) -> None:
             telemetry.disable()
         if faults.is_enabled():
             faults.disable()
-        from repro import kernels
-
-        if kernels.backend() == "mp":
-            kernels.set_backend("numpy")
     except Exception:  # pragma: no cover - never fail startup on cleanup
         pass
     while True:

@@ -24,7 +24,6 @@ from repro.rpi.cache import Cache, CacheConfig, MemoryHierarchy
 from repro.rpi.machine import CostedLoop, SimulatedPi, TimingModel
 from repro.rpi.setup import BootError, PiSetup, SetupStep
 from repro.rpi.soc import BCM2837B0, Component, RaspberryPi3BPlus
-from repro.rpi.thermal import ThermalConfig, ThermalModel, ThermalSample
 
 __all__ = [
     "BCM2837B0",
@@ -38,8 +37,5 @@ __all__ = [
     "RaspberryPi3BPlus",
     "SetupStep",
     "SimulatedPi",
-    "ThermalConfig",
-    "ThermalModel",
-    "ThermalSample",
     "TimingModel",
 ]

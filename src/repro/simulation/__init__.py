@@ -23,20 +23,12 @@ exercised end-to-end, exactly as it would be on real data.
 from repro.simulation.assemble import assemble_waves
 from repro.simulation.calibration import CalibrationResult, calibrate
 from repro.simulation.model import ModelKnobs, ResponseModel, SimulationTargets
-from repro.simulation.sensitivity import (
-    SensitivityPoint,
-    sensitivity_sweep,
-    subsample_analysis,
-)
 
 __all__ = [
     "CalibrationResult",
     "ModelKnobs",
     "ResponseModel",
-    "SensitivityPoint",
     "SimulationTargets",
     "assemble_waves",
     "calibrate",
-    "sensitivity_sweep",
-    "subsample_analysis",
 ]

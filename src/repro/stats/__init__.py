@@ -23,9 +23,12 @@ Everything the paper's evaluation section uses, implemented from scratch
   :mod:`~repro.stats.ttest` / :mod:`~repro.stats.effectsize` /
   :mod:`~repro.stats.correlation`, every Table 1–6 cell is computable
   from merged sufficient statistics alone (the mega-cohort path).
+
+:mod:`repro.stats.power` (paired-t power) and :mod:`repro.stats.reliability`
+(Cronbach's alpha) are imported as submodules, not re-exported here, so
+the study does not load them.
 """
 
-from repro.stats.anova import AnovaResult, f_sf, one_way_anova
 from repro.stats.bootstrap import BootstrapCI, bootstrap_ci, bootstrap_paired_ci
 from repro.stats.composite import composite_score
 from repro.stats.correlation import (
@@ -58,12 +61,6 @@ from repro.stats.effectsize import (
     hedges_g,
 )
 from repro.stats.guilford import GuilfordBand, guilford_band
-from repro.stats.power import PowerResult, paired_t_power, required_n_paired_t
-from repro.stats.reliability import (
-    CronbachResult,
-    alpha_interpretation,
-    cronbach_alpha,
-)
 from repro.stats.ranking import rank_by_score, rank_table
 from repro.stats.streaming import CoMoments, Moments, merge_indexed
 from repro.stats.ttest import (
@@ -76,16 +73,12 @@ from repro.stats.ttest import (
 )
 
 __all__ = [
-    "AnovaResult",
     "BootstrapCI",
     "CohensDResult",
     "CorrelationResult",
-    "CronbachResult",
     "GuilfordBand",
-    "PowerResult",
     "Summary",
     "TTestResult",
-    "alpha_interpretation",
     "betainc",
     "bootstrap_ci",
     "bootstrap_paired_ci",
@@ -98,9 +91,7 @@ __all__ = [
     "cohens_d_paper",
     "cohens_d_pooled",
     "composite_score",
-    "cronbach_alpha",
     "describe",
-    "f_sf",
     "erf",
     "erfc",
     "fisher_confidence_interval",
@@ -109,13 +100,10 @@ __all__ = [
     "normal_cdf",
     "normal_ppf",
     "normal_sf",
-    "paired_t_power",
-    "one_way_anova",
     "merge_indexed",
     "pearson",
     "pearson_r_from_stats",
     "rank_by_score",
-    "required_n_paired_t",
     "rank_table",
     "spearman",
     "t_cdf",

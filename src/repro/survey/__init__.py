@@ -21,12 +21,11 @@ Modules
 - :mod:`repro.survey.responses` — response records for students × waves.
 - :mod:`repro.survey.scoring` — skill scores, overall averages, composite
   scores, cohort aggregation (the inputs of Tables 1–6).
-- :mod:`repro.survey.administration` — wave scheduling against the course
-  timeline.
+
+:mod:`repro.survey.reliability` (per-element Cronbach's alpha) is imported
+as a submodule, not re-exported here, so the study does not load it.
 """
 
-from repro.survey.administration import SurveyAdministration, Wave
-from repro.survey.reliability import wave_reliability
 from repro.survey.instrument import (
     ELEMENT_NAMES,
     Element,
@@ -63,8 +62,6 @@ __all__ = [
     "PERSONAL_GROWTH_SCALE",
     "Scale",
     "StudentResponse",
-    "SurveyAdministration",
-    "Wave",
     "WaveResponses",
     "cohort_scores",
     "composite_scores",
@@ -73,5 +70,4 @@ __all__ = [
     "skill_scores",
     "team_design_skills_survey",
     "validate_likert",
-    "wave_reliability",
 ]

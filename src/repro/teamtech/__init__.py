@@ -17,30 +17,18 @@ consume — and enforce the assignment's own rules (e.g. videos must be
 from repro.teamtech.docs import CollaborativeDoc, Revision
 from repro.teamtech.github import Commit, PullRequest, Repository
 from repro.teamtech.slack import Channel, Message, Workspace
-from repro.teamtech.workflows import (
-    AutomatedRepository,
-    Check,
-    Trigger,
-    Workflow,
-    WorkflowRun,
-)
 from repro.teamtech.youtube import Video, VideoChannel, VideoError
 
 __all__ = [
-    "AutomatedRepository",
     "Channel",
-    "Check",
     "CollaborativeDoc",
     "Commit",
     "Message",
     "PullRequest",
     "Repository",
     "Revision",
-    "Trigger",
     "Video",
     "VideoChannel",
     "VideoError",
-    "Workflow",
-    "WorkflowRun",
     "Workspace",
 ]

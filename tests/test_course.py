@@ -1,4 +1,4 @@
-"""Course mechanics: timeline, assignments, grading, rubrics, materials."""
+"""Course mechanics: timeline, assignments, grading, materials."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.course import (
     StudentRecord,
     all_assignments,
     paper_timeline,
-    project_rubric,
     run_assignment_programs,
 )
 from repro.course.grading import grade_student
@@ -172,36 +171,3 @@ class TestGrading:
             AssignmentGrade(6, 80.0, 4.0)
         with pytest.raises(ValueError):
             AssignmentGrade(1, 120.0, 4.0)
-
-
-class TestRubric:
-    def test_weights_sum_to_one(self):
-        rubric = project_rubric()
-        assert sum(c.weight for c in rubric.criteria) == pytest.approx(1.0)
-
-    def test_all_exemplary_scores_100(self):
-        rubric = project_rubric()
-        levels = {c.name: "exemplary" for c in rubric.criteria}
-        assert rubric.score(levels) == 100.0
-
-    def test_all_missing_scores_0(self):
-        rubric = project_rubric()
-        levels = {c.name: "missing" for c in rubric.criteria}
-        assert rubric.score(levels) == 0.0
-
-    def test_mixed_levels(self):
-        rubric = project_rubric()
-        levels = {c.name: "proficient" for c in rubric.criteria}
-        assert rubric.score(levels) == pytest.approx(85.0)
-
-    def test_missing_criterion_rejected(self):
-        rubric = project_rubric()
-        with pytest.raises(ValueError):
-            rubric.score({"planning": "exemplary"})
-
-    def test_unknown_level_rejected(self):
-        rubric = project_rubric()
-        levels = {c.name: "exemplary" for c in rubric.criteria}
-        levels["video"] = "legendary"
-        with pytest.raises(ValueError):
-            rubric.score(levels)

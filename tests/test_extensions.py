@@ -1,4 +1,4 @@
-"""OMP environment, thermal model, ISA disassembly, distributed sort."""
+"""OMP environment parsing; distributed sort over the MapReduce engine."""
 
 import random
 
@@ -6,18 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.isa import (
-    disassemble_cisc,
-    disassemble_risc,
-    program_bytes,
-    sum_array_cisc,
-    sum_array_risc,
-    assemble_risc,
-)
 from repro.mapreduce import MapReduceEngine, distributed_sort_job, make_range_partitioner
-from repro.openmp import OMPEnvironment, WallClock, parse_schedule
+from repro.openmp.env import OMPEnvironment, WallClock, parse_schedule
 from repro.openmp.loops import ScheduleKind
-from repro.rpi import ThermalConfig, ThermalModel
 
 
 class TestOMPEnvironment:
@@ -78,101 +69,6 @@ class TestOMPEnvironment:
         start = clock.wtime()
         t[0] = 13.0
         assert clock.elapsed(start) == pytest.approx(0.5)
-
-
-class TestThermal:
-    def test_sustained_load_throttles(self):
-        model = ThermalModel()
-        trace = model.run(active_cores=4, seconds=300)
-        assert trace[0].throttled is False
-        assert trace[-1].throttled is True
-        assert trace[-1].clock_ghz == model.config.soft_clock_ghz
-
-    def test_idle_never_throttles(self):
-        model = ThermalModel()
-        trace = model.run(active_cores=0, seconds=600)
-        assert not any(s.throttled for s in trace)
-
-    def test_temperature_monotone_under_constant_load_from_cold(self):
-        model = ThermalModel()
-        trace = model.run(active_cores=2, seconds=120)
-        temps = [s.temperature_c for s in trace]
-        assert temps == sorted(temps)
-
-    def test_cooling_after_load(self):
-        model = ThermalModel()
-        model.run(4, 300)
-        hot = model.temperature_c
-        model.run(0, 600)
-        assert model.temperature_c < hot
-        assert not model.throttled
-
-    def test_heatsink_prevents_throttling(self):
-        bare = ThermalModel()
-        heatsink = ThermalModel(config=ThermalConfig(thermal_resistance=4.0))
-        bare.run(4, 600)
-        heatsink.run(4, 600)
-        assert bare.throttled
-        assert not heatsink.throttled
-
-    def test_steady_state_matches_simulation(self):
-        model = ThermalModel()
-        model.run(4, 3000)
-        assert model.temperature_c == pytest.approx(
-            model.steady_state_c(4), abs=0.5
-        )
-
-    def test_more_cores_run_hotter(self):
-        model = ThermalModel()
-        assert model.steady_state_c(1) < model.steady_state_c(2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThermalModel().step(active_cores=5)
-        with pytest.raises(ValueError):
-            ThermalModel().step(active_cores=1, dt_s=0)
-        with pytest.raises(ValueError):
-            ThermalConfig(thermal_resistance=0)
-
-
-class TestDisassembly:
-    def test_risc_round_trip(self):
-        program = sum_array_risc(9)
-        decoded = disassemble_risc(program_bytes(program))
-        assert [(i.mnemonic, i.operands) for i in decoded] == [
-            (i.mnemonic, i.operands) for i in program
-        ]
-
-    def test_cisc_round_trip(self):
-        program = sum_array_cisc(9)
-        decoded = disassemble_cisc(program_bytes(program))
-        assert [(i.mnemonic, i.operands) for i in decoded] == [
-            (i.mnemonic, i.operands) for i in program
-        ]
-
-    @given(st.integers(0, 0xFFFFF))
-    @settings(max_examples=40)
-    def test_risc_immediate_round_trip(self, imm):
-        program = assemble_risc([("LDI", 5, imm), ("HALT",)])
-        decoded = disassemble_risc(program_bytes(program))
-        assert [(i.mnemonic, i.operands) for i in decoded] == [
-            (i.mnemonic, i.operands) for i in program
-        ]
-
-    def test_risc_rejects_ragged_blob(self):
-        with pytest.raises(ValueError):
-            disassemble_risc(b"\x01\x02\x03")
-
-    def test_unknown_opcodes_rejected(self):
-        with pytest.raises(ValueError):
-            disassemble_risc(b"\x00\x00\x00\xff")
-        with pytest.raises(ValueError):
-            disassemble_cisc(b"\xff")
-
-    def test_truncated_cisc_rejected(self):
-        good = program_bytes(sum_array_cisc(3))
-        with pytest.raises(ValueError):
-            disassemble_cisc(good[:-2])
 
 
 class TestDistributedSort:

@@ -22,9 +22,10 @@ from repro.kernels import lcs as lcs_kernels
 from repro.kernels import resample
 from repro.kernels import stencil as stencil_kernels
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_paired_ci
+from repro.stats.descriptive import median as median_oracle
 
 #: Non-ASCII characters and NUL included: the kernels compare characters,
-#: never encoded bytes, and no pad code may collide with "\x00".
+#: never encoded bytes.
 _TEXT = st.text(alphabet="abcdxyz\x00éè日本語", max_size=12)
 
 
@@ -47,11 +48,6 @@ def test_lcs_numpy_equals_scalar(ligand, protein):
 def test_lcs_batched_equals_per_string(ligands, protein):
     oracle = [lcs_kernels.lcs_score_python(lig, protein) for lig in ligands]
     assert lcs_kernels.lcs_scores_bitparallel(ligands, protein) == oracle
-    max_m = max((len(lig) for lig in ligands), default=0)
-    assert lcs_kernels.lcs_scores_codes_numpy(
-        lcs_kernels.encode_ligands(ligands, max_m),
-        lcs_kernels.encode_protein(protein),
-    ) == oracle
 
 
 def test_lcs_edge_cases():
@@ -64,23 +60,14 @@ def test_lcs_edge_cases():
     ]
 
 
-def _codes_scores(ligands, protein):
-    max_m = max(len(lig) for lig in ligands)
-    return lcs_kernels.lcs_scores_codes_numpy(
-        lcs_kernels.encode_ligands(ligands, max_m),
-        lcs_kernels.encode_protein(protein),
-    )
-
-
 @pytest.mark.parametrize("ligands, protein, expected", [
     (["é"], "è", [0]),                 # é and è share a UTF-8 lead byte
     (["é"], "é", [1]),                 # 1 character, 2 UTF-8 bytes
     (["日本"], "日本語", [2]),          # 2 characters, 6 UTF-8 bytes
-    (["", "\x00"], "a\x00", [0, 1]),  # the pad must not match NUL
+    (["", "\x00"], "a\x00", [0, 1]),  # NUL is a character like any other
     (["a", "\x00é"], "\x00aé", [1, 2]),
 ])
 def test_lcs_compares_characters_not_bytes(ligands, protein, expected):
-    assert _codes_scores(ligands, protein) == expected
     assert lcs_kernels.lcs_scores_bitparallel(ligands, protein) == expected
     assert [lcs_kernels.lcs_score_bitparallel(lig, protein)
             for lig in ligands] == expected
@@ -107,7 +94,6 @@ def test_lcs_assignment5_sweep_matches_oracle():
         ]
         assert lcs_kernels.lcs_scores_bitparallel(
             ligands, DEFAULT_PROTEIN) == oracle
-        assert _codes_scores(ligands, DEFAULT_PROTEIN) == oracle
 
 
 # -- stencil: slice arithmetic vs the per-cell loop --------------------------
@@ -234,6 +220,60 @@ def test_pearson_r_is_clipped():
     assert value == 1.0
 
 
+# -- vectorized median --------------------------------------------------------
+#
+# The ``median`` bootstrap statistic carries its own bit-identity
+# argument: ``np.quantile(..., 0.5)`` interpolates with
+# ``b - (b - a) * 0.5``, which differs from the oracle's
+# ``0.5 * (a + b)`` in IEEE-754, so the kernel uses ``np.partition``
+# (pure selection) plus the oracle's exact midpoint expression.  The
+# counterexample is pinned here so nobody "simplifies" it back.
+
+
+def test_np_quantile_is_not_the_oracle_median():
+    """The counterexample that forbids np.quantile here: lerp vs the
+    oracle's halved sum differ in the last ulp."""
+    pair = np.array([[-1.0, 1.0000000000000002]])
+    quantile = float(np.quantile(pair[0], 0.5))
+    oracle = median_oracle(pair[0].tolist())
+    kernel = float(resample._rows_median(pair)[0])
+    assert quantile != oracle            # 2.22e-16 vs 1.11e-16
+    assert kernel == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(min_value=-1e9, max_value=1e9,
+                  allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=25,
+    )
+)
+def test_rows_median_bit_identical_to_descriptive_median(values):
+    matrix = np.asarray([values], dtype=np.float64)
+    assert float(resample._rows_median(matrix)[0]) == median_oracle(values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=500))
+def test_median_bootstrap_estimates_bit_identical(seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(4.0, 0.3, 23)
+    fast = resample.bootstrap_estimates_numpy(data, "median", 60, seed)
+    slow = resample.bootstrap_estimates_python(data, "median", 60, seed)
+    assert fast.tolist() == slow.tolist()
+
+
+def test_median_ci_named_equals_callable_loop():
+    rng = np.random.default_rng(17)
+    xs = rng.normal(3.0, 0.4, 31).tolist()
+    named = bootstrap_ci(xs, "median", n_resamples=200, seed=5)
+    looped = bootstrap_ci(xs, median_oracle, n_resamples=200, seed=5)
+    assert (named.estimate, named.low, named.high) == (
+        looped.estimate, looped.low, looped.high
+    )
+
+
 # -- backend registry --------------------------------------------------------
 
 
@@ -257,13 +297,16 @@ def test_backend_env_var(monkeypatch):
 
 
 def test_backend_invalid_name_rejected(monkeypatch):
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+    # A removed backend name ("mp") must fail, not fall back.
+    for bad in ("fortran", "mp"):
+        with pytest.raises(ValueError):
+            kernels.set_backend(bad)
     with pytest.raises(ValueError):
         resolve_kernels_backend("cuda")
-    monkeypatch.setenv("REPRO_KERNELS", "gpu")
-    with pytest.raises(ValueError):
-        kernels.backend()
+    for bad in ("gpu", "mp"):
+        monkeypatch.setenv("REPRO_KERNELS", bad)
+        with pytest.raises(ValueError):
+            kernels.backend()
 
 
 def test_use_backend_restores_previous_on_error():

@@ -1,21 +1,8 @@
 """The MPI-style message-passing simulator."""
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.mpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    MPIError,
-    hello_world,
-    mpi_run,
-    parallel_max,
-    pi_integration,
-    ring_pass,
-)
+from repro.mpi import ANY_SOURCE, ANY_TAG, MPIError, mpi_run
 
 
 class TestPointToPoint:
@@ -180,36 +167,6 @@ class TestCollectives:
 
 
 class TestPrograms:
-    def test_hello_world(self):
-        assert hello_world(3) == [f"Hello from rank {i} of 3" for i in range(3)]
-
-    @given(st.integers(2, 8))
-    @settings(max_examples=8, deadline=None)
-    def test_ring_pass_total(self, n):
-        values = ring_pass(n)
-        assert values[0] == sum(range(n))
-
-    def test_ring_single_rank(self):
-        assert ring_pass(1) == [0]
-
-    def test_pi_integration_accuracy(self):
-        assert pi_integration(4, 50_000) == pytest.approx(math.pi, abs=1e-8)
-
-    def test_pi_independent_of_rank_count(self):
-        assert pi_integration(3, 9999) == pytest.approx(
-            pi_integration(5, 9999), abs=1e-12
-        )
-
-    def test_parallel_max(self):
-        assert parallel_max([3.0, 9.5, -2.0, 7.1], n_ranks=3) == 9.5
-
-    def test_parallel_max_fewer_values_than_ranks(self):
-        assert parallel_max([1.0, 2.0], n_ranks=4) == 2.0
-
-    def test_parallel_max_empty(self):
-        with pytest.raises(ValueError):
-            parallel_max([], 2)
-
     def test_mpi_run_validation(self):
         with pytest.raises(ValueError):
             mpi_run(0, lambda comm: None)

@@ -1,11 +1,10 @@
-"""OpenMP tasks (task/taskwait) and the lock API."""
+"""OpenMP tasks (task/taskwait)."""
 
 import threading
 
 import pytest
 
-from repro.openmp import OMPLock, OMPNestLock, OpenMP, ParallelError, TaskGroup
-from repro.openmp.locks import LockError
+from repro.openmp import OpenMP, ParallelError, TaskGroup
 
 
 class TestTaskGroup:
@@ -115,95 +114,3 @@ class TestTaskGroup:
         assert group.run(root) == 200
         # At least the master participated; usually workers too.
         assert thread_names
-
-
-class TestOMPLock:
-    def test_mutual_exclusion(self):
-        lock = OMPLock()
-        shared = {"value": 0}
-
-        def body(ctx):
-            for _ in range(300):
-                lock.set()
-                try:
-                    shared["value"] += 1
-                finally:
-                    lock.unset()
-
-        OpenMP(4).parallel(body)
-        assert shared["value"] == 1200
-
-    def test_self_deadlock_detected(self):
-        lock = OMPLock()
-        lock.set()
-        with pytest.raises(LockError, match="deadlock"):
-            lock.set()
-        lock.unset()
-
-    def test_unset_unheld_rejected(self):
-        lock = OMPLock()
-        with pytest.raises(LockError):
-            lock.unset()
-
-    def test_test_lock(self):
-        lock = OMPLock()
-        assert lock.test() is True          # acquired
-        assert lock.test() is False         # already held by us
-        lock.unset()
-        assert lock.test() is True
-        lock.unset()
-
-    def test_test_from_other_thread_fails_while_held(self):
-        lock = OMPLock()
-        lock.set()
-        results = []
-
-        def other():
-            results.append(lock.test())
-
-        t = threading.Thread(target=other)
-        t.start()
-        t.join()
-        assert results == [False]
-        lock.unset()
-
-    def test_context_manager(self):
-        lock = OMPLock()
-        with lock:
-            pass
-        with lock:   # reusable
-            pass
-
-
-class TestOMPNestLock:
-    def test_recursive_acquisition(self):
-        lock = OMPNestLock()
-        assert lock.set() == 1
-        assert lock.set() == 2
-        assert lock.unset() == 1
-        assert lock.unset() == 0
-
-    def test_unset_unheld_rejected(self):
-        with pytest.raises(LockError):
-            OMPNestLock().unset()
-
-    def test_nested_context_managers(self):
-        lock = OMPNestLock()
-        with lock:
-            with lock:
-                with lock:
-                    pass
-
-    def test_exclusion_between_threads(self):
-        lock = OMPNestLock()
-        log = []
-
-        def body(ctx):
-            with lock:
-                with lock:   # recursive inner acquire
-                    log.append(("in", ctx.thread_num))
-                    log.append(("out", ctx.thread_num))
-
-        OpenMP(4).parallel(body)
-        for i in range(0, len(log), 2):
-            assert log[i][1] == log[i + 1][1]   # no interleaving

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.course import grade_quiz, quiz_bank
-from repro.survey import Category, wave_reliability
+from repro.survey import Category
+from repro.survey.reliability import wave_reliability
 
 
 class TestQuizBank:

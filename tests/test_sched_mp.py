@@ -1,12 +1,11 @@
-"""The process-pool scheduler backend: determinism, transport, tuning.
+"""The process-pool scheduler backend: determinism and transport.
 
 ``mode="mp"`` must be an execution vehicle and nothing more: the
 executor makes the same (worker, task) decisions as threaded mode, so
 the canonical event log, the statistics line, and the rendered report
 stay byte-identical across modes — in this process and across CLI
 subprocesses.  The transport (``repro.procpool``) must round-trip
-values, shared-memory arrays, and exceptions faithfully, and the
-dispatch-overhead autotuner must be pure arithmetic.
+values, shared-memory arrays, and exceptions faithfully.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.drugdesign.ligands import generate_ligands, generate_protein
 from repro.drugdesign.solvers import solve_sched, solve_sequential
 from repro.sched.core import Call, SchedError
 from repro.sched.executor import WorkStealingExecutor
-from repro.sched.tune import autotune_chunk, measure_dispatch_overhead_s
 from repro.sched.workloads import run_sched_workload
 
 
@@ -201,14 +199,14 @@ def test_cli_mp_stdout_byte_identical_to_threaded():
     assert mp == threaded
 
 
-# -- solve_sched over mp + the chunk autotuner --------------------------------
+# -- solve_sched over mp -----------------------------------------------------
 
 
 def test_solve_sched_mp_matches_sequential_all_chunks():
     ligands = generate_ligands(40, 7, seed=21)
     protein = generate_protein(48, seed=22)
     oracle = solve_sequential(ligands, protein)
-    for chunk in (1, 8, "auto"):
+    for chunk in (1, 8):
         executor = WorkStealingExecutor(n_workers=2, seed=9, mode="mp")
         try:
             result = solve_sched(ligands, protein, executor, chunk=chunk)
@@ -220,36 +218,11 @@ def test_solve_sched_mp_matches_sequential_all_chunks():
 def test_solve_sched_rejects_bad_chunk():
     executor = WorkStealingExecutor(n_workers=2, seed=1)
     try:
-        for bad in (0, -3, True, "adaptive"):
+        for bad in (0, -3, True, "adaptive", "auto"):
             with pytest.raises(ValueError):
                 solve_sched(["abc"], "abcd", executor, chunk=bad)
     finally:
         executor.close()
-
-
-def test_autotune_chunk_arithmetic():
-    # Overhead floor: k >= d / (t * p).
-    assert autotune_chunk(0.0005, 0.001, 100, 4) == 5
-    assert autotune_chunk(0.0001, 0.01, 100, 4) == 1
-    # Worker cap: never starve a worker of its chunk.
-    assert autotune_chunk(0.001, 0.0001, 100, 4) == 25
-    assert autotune_chunk(1.0, 0.0001, 10, 4) == 3
-    # Degenerate measurements fall back to ~4 chunks per worker.
-    assert autotune_chunk(0.0, 0.001, 100, 4) == 7
-    assert autotune_chunk(0.001, -1.0, 100, 4) == 7
-    # Edge cases and validation.
-    assert autotune_chunk(0.001, 0.001, 0, 4) == 1
-    with pytest.raises(ValueError):
-        autotune_chunk(0.001, 0.001, 10, 4, target_overhead=1.5)
-
-
-def test_measured_dispatch_overhead_is_positive_and_cached():
-    first = measure_dispatch_overhead_s(mode="threaded", n_workers=2,
-                                        n_probe=8)
-    again = measure_dispatch_overhead_s(mode="threaded", n_workers=2,
-                                        n_probe=8)
-    assert first > 0.0
-    assert again == first                      # per-process cache
 
 
 # -- run_job / registry plumbing ----------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.mpi import heat_mpi, heat_sequential
 from repro.patternlets import run_atomic_demo, run_scope_demo
-from repro.stats import paired_t_power, required_n_paired_t
+from repro.stats.power import paired_t_power, required_n_paired_t
 
 
 class TestHeatStencil:

@@ -9,8 +9,6 @@ from repro.survey import (
     ELEMENT_NAMES,
     Category,
     PERSONAL_GROWTH_SCALE,
-    SurveyAdministration,
-    Wave,
     team_design_skills_survey,
     validate_likert,
 )
@@ -169,20 +167,3 @@ class TestScoring:
         assert 1.0 <= overall_average(response, Category.CLASS_EMPHASIS) <= 5.0
         for v in composite_scores(response, Category.PERSONAL_GROWTH).values():
             assert 1.0 <= v <= 5.0
-
-
-class TestAdministration:
-    def test_default_schedule_matches_fig1(self):
-        admin = SurveyAdministration.default(team_design_skills_survey())
-        assert admin.week_of(Wave.FIRST_HALF) == 8
-        assert admin.week_of(Wave.SECOND_HALF) == 15
-
-    def test_rejects_reversed_waves(self):
-        with pytest.raises(ValueError):
-            SurveyAdministration(
-                instrument=team_design_skills_survey(),
-                wave_weeks={Wave.FIRST_HALF: 15, Wave.SECOND_HALF: 8},
-            )
-
-    def test_display_names(self):
-        assert Wave.FIRST_HALF.display_name == "First Half Survey"
