@@ -19,7 +19,8 @@ accumulators that together determine every cell of Tables 1–6,
 
 :func:`analyze` goes through the ``*_from_stats`` entry points of
 :mod:`repro.stats`, whose floating-point operation order mirrors the
-array versions exactly.  The study is a one-shard run of it —
+list-based oracle in ``tests/test_analysis_oracle.py`` exactly.  The
+study is a one-shard run of it —
 ``analyze(SurveyStats.from_scores(raw.skills, raw.scores))`` — and the
 mega-cohort (:mod:`repro.megacohort`) merges many shards into the same
 call.

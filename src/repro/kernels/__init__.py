@@ -52,7 +52,6 @@ __all__ = [
     "heat_steps",
     "heat_block_step",
     "bootstrap_estimates",
-    "paired_bootstrap_estimates",
     "resample",
 ]
 
@@ -147,18 +146,3 @@ def bootstrap_estimates(data, name: str, n_resamples: int, seed: int):
                 data, name, n_resamples, seed
             )
         return resample.bootstrap_estimates_numpy(data, name, n_resamples, seed)
-
-
-def paired_bootstrap_estimates(a, b, name: str, n_resamples: int, seed: int):
-    """B paired bootstrap estimates of a named statistic."""
-    chosen = backend()
-    with telemetry.span("kernel.bootstrap_paired", category="kernel",
-                        backend=chosen, statistic=name,
-                        n_resamples=n_resamples, n=a.size):
-        if chosen == "python":
-            return resample.paired_bootstrap_estimates_python(
-                a, b, name, n_resamples, seed
-            )
-        return resample.paired_bootstrap_estimates_numpy(
-            a, b, name, n_resamples, seed
-        )

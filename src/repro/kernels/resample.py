@@ -2,10 +2,9 @@
 
 The scalar loop in :mod:`repro.stats.bootstrap` draws one index vector
 per resample and applies a Python callable B times.  For the statistics
-the reproduction actually bootstraps — the mean, the sample SD, the
-median, the paper's average-variance Cohen's d, and the Pearson r — the
-whole procedure collapses to array expressions: draw the complete (B, n)
-index matrix in one call and reduce along ``axis=1``.
+the reproduction actually bootstraps — the mean, the sample SD and the
+median — the whole procedure collapses to array expressions: draw the
+complete (B, n) index matrix in one call and reduce along ``axis=1``.
 
 Bit-identity with the scalar path holds by construction and is pinned
 by property tests:
@@ -18,7 +17,7 @@ by property tests:
   every C-contiguous row, float for float — and the per-row oracle here
   uses the same expressions the vectorized path uses.
 
-Statistics are *named* (:data:`STATISTICS` / :data:`PAIRED_STATISTICS`);
+Statistics are *named* (:data:`STATISTICS`);
 :func:`resolve_statistic` also recognises ``np.mean`` itself so the
 common ``bootstrap_ci(xs, np.mean)`` call takes the fast path without
 any caller change.  Unknown callables stay on the loop.
@@ -32,22 +31,14 @@ import numpy as np
 
 __all__ = [
     "STATISTICS",
-    "PAIRED_STATISTICS",
     "resolve_statistic",
-    "resolve_paired_statistic",
     "statistic_value",
-    "paired_statistic_value",
     "bootstrap_estimates_python",
     "bootstrap_estimates_numpy",
-    "paired_bootstrap_estimates_python",
-    "paired_bootstrap_estimates_numpy",
 ]
 
 #: Named one-sample statistics with a vectorized implementation.
 STATISTICS = ("mean", "std", "median")
-
-#: Named paired statistics with a vectorized implementation.
-PAIRED_STATISTICS = ("mean_diff", "cohens_d", "pearson_r")
 
 
 def resolve_statistic(statistic: Any) -> str | None:
@@ -68,18 +59,6 @@ def resolve_statistic(statistic: Any) -> str | None:
         return "mean"
     if statistic is np.median:
         return "median"
-    return None
-
-
-def resolve_paired_statistic(statistic: Any) -> str | None:
-    """Paired counterpart of :func:`resolve_statistic`."""
-    if isinstance(statistic, str):
-        if statistic not in PAIRED_STATISTICS:
-            raise ValueError(
-                f"unknown paired bootstrap statistic {statistic!r}; "
-                f"expected one of {PAIRED_STATISTICS} (or pass a callable)"
-            )
-        return statistic
     return None
 
 
@@ -128,41 +107,6 @@ def _rows_statistic(matrix: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"unknown statistic {name!r}")
 
 
-def paired_statistic_value(a: np.ndarray, b: np.ndarray, name: str) -> float:
-    """The plug-in estimate of a named paired statistic."""
-    if name == "mean_diff":
-        return float(b.mean() - a.mean())
-    if name == "cohens_d":
-        m1, m2 = a.mean(), b.mean()
-        s1, s2 = a.std(ddof=1), b.std(ddof=1)
-        return float((m2 - m1) / np.sqrt((s1 * s1 + s2 * s2) / 2.0))
-    if name == "pearson_r":
-        am = a - a.mean()
-        bm = b - b.mean()
-        r = (am * bm).sum() / np.sqrt((am * am).sum() * (bm * bm).sum())
-        return float(np.clip(r, -1.0, 1.0))
-    raise ValueError(f"unknown paired statistic {name!r}")
-
-
-def _rows_paired_statistic(
-    a: np.ndarray, b: np.ndarray, name: str
-) -> np.ndarray:
-    if name == "mean_diff":
-        return b.mean(axis=1) - a.mean(axis=1)
-    if name == "cohens_d":
-        m1, m2 = a.mean(axis=1), b.mean(axis=1)
-        s1, s2 = a.std(axis=1, ddof=1), b.std(axis=1, ddof=1)
-        return (m2 - m1) / np.sqrt((s1 * s1 + s2 * s2) / 2.0)
-    if name == "pearson_r":
-        am = a - a.mean(axis=1, keepdims=True)
-        bm = b - b.mean(axis=1, keepdims=True)
-        r = (am * bm).sum(axis=1) / np.sqrt(
-            (am * am).sum(axis=1) * (bm * bm).sum(axis=1)
-        )
-        return np.clip(r, -1.0, 1.0)
-    raise ValueError(f"unknown paired statistic {name!r}")
-
-
 # -- backends ----------------------------------------------------------------
 
 #: Rows per block of the vectorized draw.  The index matrix is drawn and
@@ -199,35 +143,4 @@ def bootstrap_estimates_numpy(
         stop = min(start + _BLOCK_ROWS, n_resamples)
         index = rng.integers(0, n, size=(stop - start, n))
         estimates[start:stop] = _rows_statistic(data[index], name)
-    return estimates
-
-
-def paired_bootstrap_estimates_python(
-    a: np.ndarray, b: np.ndarray, name: str, n_resamples: int, seed: int
-) -> np.ndarray:
-    """Scalar oracle for the paired case: one index vector per resample."""
-    rng = np.random.default_rng(seed)
-    n = a.size
-    estimates = np.empty(n_resamples)
-    for i in range(n_resamples):
-        index = rng.integers(0, n, size=n)
-        estimates[i] = _rows_paired_statistic(
-            a[index][None, :], b[index][None, :], name
-        )[0]
-    return estimates
-
-
-def paired_bootstrap_estimates_numpy(
-    a: np.ndarray, b: np.ndarray, name: str, n_resamples: int, seed: int
-) -> np.ndarray:
-    """Paired draw: one index matrix applied to both samples."""
-    rng = np.random.default_rng(seed)
-    n = a.size
-    estimates = np.empty(n_resamples)
-    for start in range(0, n_resamples, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_resamples)
-        index = rng.integers(0, n, size=(stop - start, n))
-        estimates[start:stop] = _rows_paired_statistic(
-            a[index], b[index], name
-        )
     return estimates

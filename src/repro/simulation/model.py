@@ -21,8 +21,8 @@ Each of the skill's items is then an independent noisy read of the trait,
 which is exactly a Gaussian-copula discretisation with thresholds at the
 half-integers, stored as an int8 Likert tensor.  The per-student skill,
 composite and overall scores come from exact integer item sums
-(:func:`derived_scores`); :mod:`repro.survey.scoring` computes the same
-quantities from the typed response objects.
+(:func:`derived_scores`); ``tests/test_analysis_oracle.py`` computes the
+same quantities from the typed response objects as a list-based oracle.
 
 Waves are drawn independently (no cross-wave student correlation).  This
 is a documented choice: the paper's reported t statistics are *not*

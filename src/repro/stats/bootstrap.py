@@ -1,21 +1,16 @@
 """Seeded bootstrap confidence intervals.
 
-A replication should say how certain its regenerated statistics are.
 :func:`bootstrap_ci` gives a percentile CI for any statistic of one
-sample; :func:`bootstrap_paired_ci` resamples *pairs* (the right unit
-for the paper's within-student design) for statistics of two aligned
-samples, e.g. Cohen's d between waves or the emphasis↔growth
-correlation.  Deterministic for a given seed.
+sample, deterministic for a given seed.  ``repro bench kernels`` times
+it on the loop against the vectorized kernels.
 
 Common statistics take the vectorized fast path in
 :mod:`repro.kernels.resample`: pass ``"mean"`` / ``"std"`` / ``"median"``
-(or the ``np.mean``/``np.median`` callables, recognised by identity) to
-:func:`bootstrap_ci`,
-or ``"mean_diff"`` / ``"cohens_d"`` / ``"pearson_r"`` to
-:func:`bootstrap_paired_ci`, and the whole (B, n) index matrix is drawn
-in one call with the statistic reduced along an axis — no Python loop,
-same RNG stream, bit-identical estimates (property-tested).  Any other
-callable keeps the original per-resample loop.
+(or the ``np.mean``/``np.median`` callables, recognised by identity),
+and the whole (B, n) index matrix is drawn in one call with the
+statistic reduced along an axis — no Python loop, same RNG stream,
+bit-identical estimates (property-tested).  Any other callable keeps
+the original per-resample loop.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["BootstrapCI", "bootstrap_ci", "bootstrap_paired_ci"]
+__all__ = ["BootstrapCI", "bootstrap_ci"]
 
 DEFAULT_RESAMPLES = 2000
 
@@ -92,59 +87,6 @@ def bootstrap_ci(
         for b in range(n_resamples):
             estimates[b] = statistic(data[rng.integers(0, n, size=n)])
         estimate = float(statistic(data))
-    alpha = (1.0 - level) / 2.0
-    return BootstrapCI(
-        estimate=estimate,
-        low=float(np.quantile(estimates, alpha)),
-        high=float(np.quantile(estimates, 1.0 - alpha)),
-        level=level,
-        n_resamples=n_resamples,
-    )
-
-
-def bootstrap_paired_ci(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    statistic: Callable[[Sequence[float], Sequence[float]], float] | str,
-    level: float = 0.95,
-    n_resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
-) -> BootstrapCI:
-    """Percentile bootstrap CI for ``statistic(xs, ys)`` resampling pairs.
-
-    ``xs[i]`` and ``ys[i]`` belong to the same unit (student), so
-    resampling draws index vectors, preserving the pairing — required for
-    paired effect sizes and correlations.  ``statistic`` may be a
-    callable (looped) or a kernel name — ``"mean_diff"``, ``"cohens_d"``
-    (the paper's average-variance d), or ``"pearson_r"`` — for the
-    vectorized path.
-    """
-    from repro import kernels
-    from repro.kernels.resample import (
-        paired_statistic_value,
-        resolve_paired_statistic,
-    )
-
-    if len(xs) != len(ys):
-        raise ValueError(f"paired bootstrap needs equal lengths, got "
-                         f"{len(xs)} and {len(ys)}")
-    _validate(level, n_resamples, len(xs))
-    a = np.asarray(xs, dtype=float)
-    b = np.asarray(ys, dtype=float)
-    name = resolve_paired_statistic(statistic)
-    if name is not None:
-        estimates = kernels.paired_bootstrap_estimates(
-            a, b, name, n_resamples, seed
-        )
-        estimate = paired_statistic_value(a, b, name)
-    else:
-        rng = np.random.default_rng(seed)
-        n = len(a)
-        estimates = np.empty(n_resamples)
-        for i in range(n_resamples):
-            index = rng.integers(0, n, size=n)
-            estimates[i] = statistic(a[index], b[index])
-        estimate = float(statistic(a, b))
     alpha = (1.0 - level) / 2.0
     return BootstrapCI(
         estimate=estimate,

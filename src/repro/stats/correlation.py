@@ -1,30 +1,22 @@
-"""Pearson and Spearman correlation.
+"""Pearson correlation of Table 4, from sufficient statistics.
 
 Table 4 of the paper reports Pearson correlations between Class Emphasis
 and Personal Growth for each of the seven survey elements, in each survey
 wave, with p-values (all reported as ``p < 0.001`` following Greenland et
-al.'s recommendation for very small p).  :func:`pearson` reproduces that
-analysis, including the paper's p-value reporting convention via
-:meth:`CorrelationResult.p_report`.
+al.'s recommendation for very small p).  :func:`pearson_r_from_stats`
+reproduces that analysis, and :meth:`CorrelationResult.p_report` the
+paper's p-value reporting convention.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.stats.descriptive import mean
-from repro.stats.distributions import normal_ppf, t_sf
+from repro.stats.distributions import t_sf
 from repro.stats.guilford import GuilfordBand, guilford_band
 
-__all__ = [
-    "CorrelationResult",
-    "pearson",
-    "pearson_r_from_stats",
-    "spearman",
-    "fisher_confidence_interval",
-]
+__all__ = ["CorrelationResult", "pearson_r_from_stats"]
 
 
 @dataclass(frozen=True)
@@ -55,12 +47,21 @@ class CorrelationResult:
         return f"{self.method} r={self.r:.2f} ({self.p_report()}, N={self.n}) [{self.strength.label}]"
 
 
-def _pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    n = len(xs)
-    mx, my = mean(xs), mean(ys)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
+def pearson_r_from_stats(
+    n: int, sxx: float, syy: float, sxy: float
+) -> CorrelationResult:
+    """Pearson correlation from centered sufficient statistics alone.
+
+    ``sxx``/``syy`` are the centered second moments and ``sxy`` the
+    centered cross-product — exactly what a streamed
+    :class:`~repro.stats.streaming.CoMoments` accumulator holds.  The
+    arithmetic mirrors the list-based ``pearson`` oracle in
+    ``tests/test_analysis_oracle.py`` (same clamp, same t-transform), so
+    feeding it the sums that oracle computes internally reproduces its
+    result bit for bit.
+    """
+    if n < 3:
+        raise ValueError("correlation requires at least 3 pairs")
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined for a constant sequence")
     denom = math.sqrt(sxx * syy)
@@ -70,45 +71,6 @@ def _pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
         denom = math.sqrt(sxx) * math.sqrt(syy)
     r = sxy / denom
     # Guard against floating-point overshoot past +/-1.
-    return max(-1.0, min(1.0, r))
-
-
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
-    """Pearson product-moment correlation with two-sided p-value."""
-    if len(xs) != len(ys):
-        raise ValueError(f"correlation requires equal lengths, got {len(xs)} and {len(ys)}")
-    n = len(xs)
-    if n < 3:
-        raise ValueError("correlation requires at least 3 pairs")
-    r = _pearson_r(xs, ys)
-    if abs(r) == 1.0:
-        p = 0.0
-    else:
-        t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = 2.0 * t_sf(abs(t), n - 2)
-    return CorrelationResult(r=r, p_value=p, n=n, method="pearson")
-
-
-def pearson_r_from_stats(
-    n: int, sxx: float, syy: float, sxy: float
-) -> CorrelationResult:
-    """Pearson correlation from centered sufficient statistics alone.
-
-    ``sxx``/``syy`` are the centered second moments and ``sxy`` the
-    centered cross-product — exactly what a streamed
-    :class:`~repro.stats.streaming.CoMoments` accumulator holds.  The
-    arithmetic mirrors :func:`pearson` (same clamp, same t-transform),
-    so feeding the sums that function computes internally reproduces
-    its result bit for bit.
-    """
-    if n < 3:
-        raise ValueError("correlation requires at least 3 pairs")
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("correlation undefined for a constant sequence")
-    denom = math.sqrt(sxx * syy)
-    if denom == 0.0:
-        denom = math.sqrt(sxx) * math.sqrt(syy)
-    r = sxy / denom
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0
@@ -116,46 +78,3 @@ def pearson_r_from_stats(
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = 2.0 * t_sf(abs(t), n - 2)
     return CorrelationResult(r=r, p_value=p, n=n, method="pearson")
-
-
-def _rank(xs: Sequence[float]) -> list[float]:
-    """Fractional (average) ranks, 1-based, ties share the mean rank."""
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    ranks = [0.0] * len(xs)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg_rank
-        i = j + 1
-    return ranks
-
-
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
-    """Spearman rank correlation (Pearson on fractional ranks)."""
-    if len(xs) != len(ys):
-        raise ValueError(f"correlation requires equal lengths, got {len(xs)} and {len(ys)}")
-    if len(xs) < 3:
-        raise ValueError("correlation requires at least 3 pairs")
-    base = pearson(_rank(xs), _rank(ys))
-    return CorrelationResult(r=base.r, p_value=base.p_value, n=base.n, method="spearman")
-
-
-def fisher_confidence_interval(
-    result: CorrelationResult, level: float = 0.95
-) -> tuple[float, float]:
-    """Fisher z-transform confidence interval for a Pearson correlation."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if result.n < 4:
-        raise ValueError("Fisher CI requires at least 4 pairs")
-    r = result.r
-    if abs(r) == 1.0:
-        return (r, r)
-    z = math.atanh(r)
-    se = 1.0 / math.sqrt(result.n - 3)
-    half = normal_ppf(0.5 + level / 2.0) * se
-    return (math.tanh(z - half), math.tanh(z + half))

@@ -1,19 +1,17 @@
-"""Descriptive statistics.
+"""Descriptive statistics: the mean and the median.
 
-The paper reports means, standard deviations and sample sizes for each
-survey wave (Tables 2 and 3) before computing effect sizes.  These helpers
-are deliberately explicit about the variance denominator: the paper's
-Cohen's d uses the *sample* standard deviation (``ddof=1``), which is what
-:func:`describe` returns by default.
+The bootstrap benchmark (``repro bench kernels``) times
+:func:`repro.stats.bootstrap.bootstrap_ci` with these two as callable
+statistics against the vectorized kernels that must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Summary", "describe", "mean", "variance", "stdev", "sem", "median", "quantile"]
+__all__ = ["mean", "median"]
 
 
 def mean(xs: Sequence[float]) -> float:
@@ -22,28 +20,6 @@ def mean(xs: Sequence[float]) -> float:
     if n == 0:
         raise ValueError("mean of empty sequence")
     return math.fsum(xs) / n
-
-
-def variance(xs: Sequence[float], ddof: int = 1) -> float:
-    """Variance with ``ddof`` delta degrees of freedom (default: sample)."""
-    n = len(xs)
-    if n <= ddof:
-        raise ValueError(f"variance requires more than ddof={ddof} observations, got {n}")
-    m = mean(xs)
-    # Two-pass algorithm with compensated summation for numerical stability.
-    ss = math.fsum((x - m) ** 2 for x in xs)
-    comp = math.fsum(x - m for x in xs)
-    return (ss - comp * comp / n) / (n - ddof)
-
-
-def stdev(xs: Sequence[float], ddof: int = 1) -> float:
-    """Standard deviation (sample by default)."""
-    return math.sqrt(variance(xs, ddof=ddof))
-
-
-def sem(xs: Sequence[float]) -> float:
-    """Standard error of the mean."""
-    return stdev(xs) / math.sqrt(len(xs))
 
 
 def median(xs: Sequence[float]) -> float:
@@ -56,63 +32,3 @@ def median(xs: Sequence[float]) -> float:
     if n % 2:
         return float(s[mid])
     return 0.5 * (s[mid - 1] + s[mid])
-
-
-def quantile(xs: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile (numpy's default 'linear' method)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile requires 0 <= q <= 1, got {q}")
-    n = len(xs)
-    if n == 0:
-        raise ValueError("quantile of empty sequence")
-    s = sorted(xs)
-    if n == 1:
-        return float(s[0])
-    pos = q * (n - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return s[lo] * (1.0 - frac) + s[hi] * frac
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Descriptive summary of a sample.
-
-    Mirrors the per-wave rows of the paper's Tables 2 and 3:
-    mean (M), standard deviation (s), sample size (n) — plus extras used
-    elsewhere in the pipeline.
-    """
-
-    n: int
-    mean: float
-    sd: float
-    sem: float
-    minimum: float
-    q25: float
-    median: float
-    q75: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.n}  M={self.mean:.6f}  SD={self.sd:.6f}  "
-            f"SEM={self.sem:.6f}  range=[{self.minimum:.3f}, {self.maximum:.3f}]"
-        )
-
-
-def describe(xs: Sequence[float]) -> Summary:
-    """Full descriptive summary of a sample (sample SD, ddof=1)."""
-    if len(xs) < 2:
-        raise ValueError("describe requires at least 2 observations")
-    return Summary(
-        n=len(xs),
-        mean=mean(xs),
-        sd=stdev(xs),
-        sem=sem(xs),
-        minimum=float(min(xs)),
-        q25=quantile(xs, 0.25),
-        median=median(xs),
-        q75=quantile(xs, 0.75),
-        maximum=float(max(xs)),
-    )

@@ -1,17 +1,12 @@
-"""Distribution functions implemented from scratch.
+"""Student-t distribution functions implemented from scratch.
 
 The paper reports p-values from t-tests and Pearson correlations.  To keep
 the library dependency-free at runtime we implement the required special
 functions ourselves:
 
-- ``erf``/``erfc`` via Abramowitz & Stegun 7.1.26-style rational
-  approximation refined with one Newton step against a series/continued
-  fraction (double-precision accurate to ~1e-12 over the useful range),
 - the regularised incomplete beta function ``betainc`` via the Lentz
   modified continued fraction (Numerical Recipes §6.4),
-- Student-t CDF/SF/PPF built on ``betainc``,
-- normal CDF/SF/PPF (PPF via Acklam's rational approximation + one Halley
-  refinement step).
+- Student-t CDF/SF built on ``betainc``.
 
 All functions accept Python floats and are exact enough that the test suite
 checks them against :mod:`scipy.stats` to ~1e-10.
@@ -21,40 +16,12 @@ from __future__ import annotations
 
 import math
 
-__all__ = [
-    "erf",
-    "erfc",
-    "betainc",
-    "betaln",
-    "normal_cdf",
-    "normal_sf",
-    "normal_ppf",
-    "t_cdf",
-    "t_sf",
-    "t_ppf",
-]
-
-_SQRT2 = math.sqrt(2.0)
+__all__ = ["betainc", "betaln", "t_cdf", "t_sf"]
 
 # Maximum iterations / tolerance for the incomplete-beta continued fraction.
 _CF_MAX_ITER = 300
 _CF_EPS = 3.0e-16
 _CF_FPMIN = 1.0e-300
-
-
-def erf(x: float) -> float:
-    """Error function.
-
-    Delegates to :func:`math.erf` (exact to double precision); kept as a
-    named export so callers inside the package have a single import site
-    and the test-suite contract (scipy agreement) has one place to check.
-    """
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function ``1 - erf(x)`` without cancellation."""
-    return math.erfc(x)
 
 
 def betaln(a: float, b: float) -> float:
@@ -130,94 +97,6 @@ def betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def normal_cdf(x: float, loc: float = 0.0, scale: float = 1.0) -> float:
-    """CDF of the normal distribution."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    z = (x - loc) / scale
-    return 0.5 * erfc(-z / _SQRT2)
-
-
-def normal_sf(x: float, loc: float = 0.0, scale: float = 1.0) -> float:
-    """Survival function ``1 - CDF`` of the normal distribution."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    z = (x - loc) / scale
-    return 0.5 * erfc(z / _SQRT2)
-
-
-# Coefficients of Acklam's inverse-normal rational approximation.
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def normal_ppf(p: float, loc: float = 0.0, scale: float = 1.0) -> float:
-    """Inverse CDF (quantile) of the normal distribution.
-
-    Acklam's approximation plus one Halley refinement step; accurate to
-    ~1e-15 in the open interval.
-    """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"normal_ppf requires 0 <= p <= 1, got {p}")
-
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-        den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0
-        z = num / den
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        num = ((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5]
-        den = ((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0
-        z = q * num / den
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-        den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0
-        z = -num / den
-
-    # One Halley refinement step against the exact CDF.
-    e = normal_cdf(z) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(z * z / 2.0)
-    z -= u / (1.0 + z * u / 2.0)
-    return loc + scale * z
-
-
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t distribution with ``df`` degrees of freedom."""
     if df <= 0.0:
@@ -235,36 +114,3 @@ def t_cdf(x: float, df: float) -> float:
 def t_sf(x: float, df: float) -> float:
     """Survival function ``1 - CDF`` of Student's t."""
     return t_cdf(-x, df)
-
-
-def t_ppf(p: float, df: float) -> float:
-    """Inverse CDF of Student's t via bracketed bisection + Newton polish.
-
-    Good to ~1e-12; used for confidence intervals, not hot paths.
-    """
-    if df <= 0.0:
-        raise ValueError(f"df must be positive, got {df}")
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"t_ppf requires 0 <= p <= 1, got {p}")
-    if p == 0.5:
-        return 0.0
-    # Start from the normal quantile and expand a bracket.
-    z = normal_ppf(p)
-    lo, hi = z - 1.0, z + 1.0
-    while t_cdf(lo, df) > p:
-        lo = lo * 2.0 - 1.0
-    while t_cdf(hi, df) < p:
-        hi = hi * 2.0 + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)

@@ -1,15 +1,12 @@
-"""Cohen's d effect sizes.
+"""Cohen's d of Tables 2 and 3, from sufficient statistics.
 
 Tables 2 and 3 of the paper compute Cohen's d between the first-half and
 second-half survey waves with the formula printed verbatim in the paper::
 
     d = (M2 - M1) / SD_pooled,   SD_pooled = sqrt((SD1^2 + SD2^2) / 2)
 
-(:func:`cohens_d_paper` / :func:`cohens_d_av`).  Note this is the
-*average-variance* pooling, appropriate here because both waves have the
-same n; the classic n-weighted pooling (:func:`cohens_d_pooled`) and the
-paired ``d_z`` (:func:`cohens_d_paired`) are also provided, as is Hedges'
-bias-corrected g.
+(:func:`cohens_d_from_stats`).  Note this is the *average-variance*
+pooling, appropriate here because both waves have the same n.
 
 The interpretation bands follow Cohen (and the paper's wording):
 d = 0.2 'small', 0.5 'medium', 0.8 'large'.
@@ -19,20 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.stats.descriptive import mean, stdev, variance
-
-__all__ = [
-    "CohensDResult",
-    "cohens_d_paper",
-    "cohens_d_from_stats",
-    "cohens_d_av",
-    "cohens_d_pooled",
-    "cohens_d_paired",
-    "hedges_g",
-    "cohens_d_interpretation",
-]
+__all__ = ["CohensDResult", "cohens_d_from_stats", "cohens_d_interpretation"]
 
 # Thresholds named by Cohen and quoted by the paper.
 _SMALL = 0.2
@@ -87,32 +72,6 @@ class CohensDResult:
         )
 
 
-def cohens_d_paper(first: Sequence[float], second: Sequence[float]) -> CohensDResult:
-    """Cohen's d exactly as the paper's Tables 2 and 3 compute it.
-
-    ``d = (M2 - M1) / sqrt((SD1^2 + SD2^2) / 2)`` with sample SDs.
-    Positive d means the second wave scored higher.
-    """
-    if len(first) < 2 or len(second) < 2:
-        raise ValueError("Cohen's d requires at least 2 observations per wave")
-    m1, m2 = mean(first), mean(second)
-    s1, s2 = stdev(first), stdev(second)
-    sd_pooled = math.sqrt((s1 * s1 + s2 * s2) / 2.0)
-    if sd_pooled == 0.0:
-        raise ValueError("Cohen's d undefined for two zero-variance samples")
-    return CohensDResult(
-        d=(m2 - m1) / sd_pooled,
-        mean1=m1,
-        mean2=m2,
-        sd1=s1,
-        sd2=s2,
-        n1=len(first),
-        n2=len(second),
-        sd_pooled=sd_pooled,
-        method="average-variance (paper)",
-    )
-
-
 def cohens_d_from_stats(
     n1: int, mean1: float, var1: float,
     n2: int, mean2: float, var2: float,
@@ -120,10 +79,11 @@ def cohens_d_from_stats(
     """The paper's Cohen's d from per-wave sufficient statistics alone.
 
     ``var1``/``var2`` are sample variances (``ddof=1``); the arithmetic
-    mirrors :func:`cohens_d_paper` operation for operation (square
-    roots first, then the average-variance pooling), so feeding the
-    statistics that function would compute internally reproduces its
-    result bit for bit.
+    mirrors the list-based ``cohens_d_paper`` oracle in
+    ``tests/test_analysis_oracle.py`` operation for operation (square
+    roots first, then the average-variance pooling), so feeding it the
+    statistics that oracle computes internally reproduces its result
+    bit for bit.
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("Cohen's d requires at least 2 observations per wave")
@@ -143,76 +103,4 @@ def cohens_d_from_stats(
         n2=n2,
         sd_pooled=sd_pooled,
         method="average-variance (paper)",
-    )
-
-
-def cohens_d_av(first: Sequence[float], second: Sequence[float]) -> CohensDResult:
-    """Alias for :func:`cohens_d_paper` under its textbook name (d_av)."""
-    result = cohens_d_paper(first, second)
-    return CohensDResult(**{**result.__dict__, "method": "average-variance"})
-
-
-def cohens_d_pooled(first: Sequence[float], second: Sequence[float]) -> CohensDResult:
-    """Classic Cohen's d with n-weighted pooled SD (d_s).
-
-    Identical to :func:`cohens_d_paper` when ``n1 == n2`` up to the
-    ``n-1`` weighting; differs when group sizes differ.
-    """
-    n1, n2 = len(first), len(second)
-    if n1 < 2 or n2 < 2:
-        raise ValueError("Cohen's d requires at least 2 observations per group")
-    m1, m2 = mean(first), mean(second)
-    v1, v2 = variance(first), variance(second)
-    sd_pooled = math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
-    if sd_pooled == 0.0:
-        raise ValueError("Cohen's d undefined for two zero-variance samples")
-    return CohensDResult(
-        d=(m2 - m1) / sd_pooled,
-        mean1=m1,
-        mean2=m2,
-        sd1=math.sqrt(v1),
-        sd2=math.sqrt(v2),
-        n1=n1,
-        n2=n2,
-        sd_pooled=sd_pooled,
-        method="n-weighted pooled",
-    )
-
-
-def cohens_d_paired(first: Sequence[float], second: Sequence[float]) -> CohensDResult:
-    """Paired effect size d_z: mean difference over SD of the differences."""
-    if len(first) != len(second):
-        raise ValueError(
-            f"paired effect size requires equal lengths, got {len(first)} and {len(second)}"
-        )
-    if len(first) < 2:
-        raise ValueError("paired effect size requires at least 2 pairs")
-    diffs = [b - a for a, b in zip(first, second)]
-    sd_d = stdev(diffs)
-    if sd_d == 0.0:
-        raise ValueError("paired effect size undefined when all differences are equal")
-    m1, m2 = mean(first), mean(second)
-    return CohensDResult(
-        d=mean(diffs) / sd_d,
-        mean1=m1,
-        mean2=m2,
-        sd1=stdev(first),
-        sd2=stdev(second),
-        n1=len(first),
-        n2=len(second),
-        sd_pooled=sd_d,
-        method="paired (d_z)",
-    )
-
-
-def hedges_g(first: Sequence[float], second: Sequence[float]) -> CohensDResult:
-    """Hedges' g: pooled Cohen's d with small-sample bias correction."""
-    base = cohens_d_pooled(first, second)
-    df = base.n1 + base.n2 - 2
-    # Exact correction factor J(df) = Gamma(df/2) / (sqrt(df/2) Gamma((df-1)/2)).
-    correction = math.exp(
-        math.lgamma(df / 2.0) - math.lgamma((df - 1) / 2.0)
-    ) / math.sqrt(df / 2.0)
-    return CohensDResult(
-        **{**base.__dict__, "d": base.d * correction, "method": "Hedges' g"}
     )

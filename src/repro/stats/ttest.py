@@ -1,34 +1,19 @@
-"""Student t-tests.
+"""The paired t-test of Table 1, from sufficient statistics.
 
 Table 1 of the paper reports two *paired* t-tests across the 124 students
 (first-half vs second-half survey): one on averaged Class-Emphasis scores
 and one on averaged Personal-Growth scores, reporting the mean difference,
-t statistic, N and p-value.
-
-:func:`ttest_paired` reproduces that analysis; the one-sample, pooled
-two-sample and Welch variants are provided because the course-simulation
-examples compare sections and teams.
+t statistic, N and two-sided p-value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
 
-from repro.stats.descriptive import mean, stdev, variance
-from repro.stats.distributions import t_cdf, t_ppf, t_sf
+from repro.stats.distributions import t_sf
 
-__all__ = [
-    "TTestResult",
-    "ttest_one_sample",
-    "ttest_paired",
-    "ttest_paired_from_stats",
-    "ttest_independent",
-    "ttest_welch",
-]
-
-Alternative = Literal["two-sided", "less", "greater"]
+__all__ = ["TTestResult", "ttest_paired_from_stats"]
 
 
 @dataclass(frozen=True)
@@ -46,18 +31,6 @@ class TTestResult:
     df: float
     p_value: float
     n: int
-    alternative: Alternative = "two-sided"
-
-    def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
-        """Two-sided confidence interval for the mean difference."""
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {level}")
-        if self.t == 0.0:
-            se = 0.0 if self.mean_difference == 0.0 else math.inf
-        else:
-            se = abs(self.mean_difference / self.t)
-        half = t_ppf(0.5 + level / 2.0, self.df) * se
-        return (self.mean_difference - half, self.mean_difference + half)
 
     def significant(self, alpha: float = 0.05) -> bool:
         """Whether the test rejects at significance level ``alpha``."""
@@ -70,94 +43,16 @@ class TTestResult:
         )
 
 
-def _p_from_t(t: float, df: float, alternative: Alternative) -> float:
-    if alternative == "two-sided":
-        return 2.0 * t_sf(abs(t), df)
-    if alternative == "greater":
-        return t_sf(t, df)
-    if alternative == "less":
-        return t_cdf(t, df)
-    raise ValueError(f"unknown alternative {alternative!r}")
-
-
-def ttest_one_sample(
-    xs: Sequence[float],
-    popmean: float,
-    alternative: Alternative = "two-sided",
-) -> TTestResult:
-    """One-sample t-test of ``mean(xs) == popmean``."""
-    n = len(xs)
-    if n < 2:
-        raise ValueError("one-sample t-test requires at least 2 observations")
-    diff = mean(xs) - popmean
-    sd = stdev(xs)
-    if sd == 0.0:
-        raise ValueError("one-sample t-test undefined for zero-variance sample")
-    t = diff / (sd / math.sqrt(n))
-    df = n - 1
-    return TTestResult(
-        kind="one-sample",
-        mean_difference=diff,
-        t=t,
-        df=df,
-        p_value=_p_from_t(t, df, alternative),
-        n=n,
-        alternative=alternative,
-    )
-
-
-def ttest_paired(
-    first: Sequence[float],
-    second: Sequence[float],
-    alternative: Alternative = "two-sided",
-) -> TTestResult:
-    """Paired t-test, the paper's Table 1 analysis.
-
-    ``first`` and ``second`` are per-student scores for the two survey
-    waves, in the same student order.  The reported mean difference is
-    ``mean(first) - mean(second)`` (matching the paper's negative sign
-    when scores improve in wave two).
-    """
-    if len(first) != len(second):
-        raise ValueError(
-            f"paired t-test requires equal lengths, got {len(first)} and {len(second)}"
-        )
-    n = len(first)
-    if n < 2:
-        raise ValueError("paired t-test requires at least 2 pairs")
-    diffs = [a - b for a, b in zip(first, second)]
-    d_mean = mean(diffs)
-    d_sd = stdev(diffs)
-    if d_sd == 0.0:
-        raise ValueError("paired t-test undefined when all differences are equal")
-    t = d_mean / (d_sd / math.sqrt(n))
-    df = n - 1
-    return TTestResult(
-        kind="paired",
-        mean_difference=d_mean,
-        t=t,
-        df=df,
-        p_value=_p_from_t(t, df, alternative),
-        n=n,
-        alternative=alternative,
-    )
-
-
-def ttest_paired_from_stats(
-    n: int,
-    mean_diff: float,
-    var_diff: float,
-    alternative: Alternative = "two-sided",
-) -> TTestResult:
-    """Paired t-test from sufficient statistics alone.
+def ttest_paired_from_stats(n: int, mean_diff: float, var_diff: float) -> TTestResult:
+    """Two-sided paired t-test from sufficient statistics alone.
 
     ``mean_diff`` and ``var_diff`` are the sample mean and sample
     variance (``ddof=1``) of the per-pair differences — exactly what a
     streamed :class:`~repro.stats.streaming.Moments` accumulator holds.
-    The arithmetic mirrors :func:`ttest_paired` operation for
-    operation, so feeding the statistics that function would compute
-    internally reproduces its result bit for bit (the mega-cohort
-    N=124 identity anchor).
+    The arithmetic mirrors the list-based ``ttest_paired`` oracle in
+    ``tests/test_analysis_oracle.py`` operation for operation, so
+    feeding it the statistics that oracle computes internally
+    reproduces its result bit for bit.
     """
     if n < 2:
         raise ValueError("paired t-test requires at least 2 pairs")
@@ -173,63 +68,6 @@ def ttest_paired_from_stats(
         mean_difference=mean_diff,
         t=t,
         df=df,
-        p_value=_p_from_t(t, df, alternative),
+        p_value=2.0 * t_sf(abs(t), df),
         n=n,
-        alternative=alternative,
-    )
-
-
-def ttest_independent(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    alternative: Alternative = "two-sided",
-) -> TTestResult:
-    """Two-sample t-test with pooled variance (assumes equal variances)."""
-    nx, ny = len(xs), len(ys)
-    if nx < 2 or ny < 2:
-        raise ValueError("independent t-test requires at least 2 observations per group")
-    diff = mean(xs) - mean(ys)
-    vx, vy = variance(xs), variance(ys)
-    df = nx + ny - 2
-    pooled = ((nx - 1) * vx + (ny - 1) * vy) / df
-    if pooled == 0.0:
-        raise ValueError("independent t-test undefined for zero pooled variance")
-    se = math.sqrt(pooled * (1.0 / nx + 1.0 / ny))
-    t = diff / se
-    return TTestResult(
-        kind="independent (pooled)",
-        mean_difference=diff,
-        t=t,
-        df=df,
-        p_value=_p_from_t(t, df, alternative),
-        n=nx + ny,
-        alternative=alternative,
-    )
-
-
-def ttest_welch(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    alternative: Alternative = "two-sided",
-) -> TTestResult:
-    """Welch's two-sample t-test (unequal variances)."""
-    nx, ny = len(xs), len(ys)
-    if nx < 2 or ny < 2:
-        raise ValueError("Welch t-test requires at least 2 observations per group")
-    diff = mean(xs) - mean(ys)
-    vx, vy = variance(xs), variance(ys)
-    a, b = vx / nx, vy / ny
-    if a + b == 0.0:
-        raise ValueError("Welch t-test undefined for zero variance in both groups")
-    se = math.sqrt(a + b)
-    t = diff / se
-    df = (a + b) ** 2 / (a * a / (nx - 1) + b * b / (ny - 1))
-    return TTestResult(
-        kind="independent (Welch)",
-        mean_difference=diff,
-        t=t,
-        df=df,
-        p_value=_p_from_t(t, df, alternative),
-        n=nx + ny,
-        alternative=alternative,
     )

@@ -19,11 +19,9 @@ Modules
   anchor labels.
 - :mod:`repro.survey.instrument` — elements, items and the full instrument.
 - :mod:`repro.survey.responses` — response records for students × waves.
-- :mod:`repro.survey.scoring` — skill scores, overall averages, composite
-  scores, cohort aggregation (the inputs of Tables 1–6).
 
-:mod:`repro.survey.reliability` (per-element Cronbach's alpha) is imported
-as a submodule, not re-exported here, so the study does not load it.
+Scoring the responses into the inputs of Tables 1–6 is
+:func:`repro.core.analysis.analyze_waves`.
 """
 
 from repro.survey.instrument import (
@@ -41,20 +39,11 @@ from repro.survey.scales import (
     Scale,
     validate_likert,
 )
-from repro.survey.scoring import (
-    CohortScores,
-    cohort_scores,
-    composite_scores,
-    element_score,
-    overall_average,
-    skill_scores,
-)
 
 __all__ = [
     "CLASS_EMPHASIS_SCALE",
     "ELEMENT_NAMES",
     "Category",
-    "CohortScores",
     "Element",
     "ElementResponse",
     "Instrument",
@@ -63,11 +52,6 @@ __all__ = [
     "Scale",
     "StudentResponse",
     "WaveResponses",
-    "cohort_scores",
-    "composite_scores",
-    "element_score",
-    "overall_average",
-    "skill_scores",
     "team_design_skills_survey",
     "validate_likert",
 ]

@@ -8,12 +8,19 @@ score vectors from ``cohort_scores`` fed to ``ttest_paired``,
 ``cohens_d_paper`` and ``pearson``.  On every seed both products must
 render Tables 1–6 byte for byte as the oracle does, and every float
 must agree to 1e-12 relative.
+
+The oracle's statistics and scoring live here, not in ``src/``: no
+product command runs them.  ``tests/test_stats_streaming.py`` pins the
+``*_from_stats`` entry points to them bit for bit, and the
+``tests/test_stats_*`` files check them against scipy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -23,17 +30,249 @@ from repro.core.study import PBLStudy
 from repro.megacohort.run import render_analysis_tables
 from repro.simulation.assemble import assemble_waves
 from repro.simulation.model import LIKERT_DTYPE, WAVES, RawScores
-from repro.stats.correlation import pearson
-from repro.stats.effectsize import cohens_d_paper
+from repro.stats.correlation import CorrelationResult
+from repro.stats.descriptive import mean
+from repro.stats.distributions import t_cdf, t_sf
+from repro.stats.effectsize import CohensDResult
 from repro.stats.ranking import emphasis_growth_gaps, rank_by_score, spread
-from repro.stats.ttest import ttest_paired
+from repro.stats.ttest import TTestResult
 from repro.survey.instrument import Element, Instrument, Item, team_design_skills_survey
 from repro.survey.responses import ElementResponse, StudentResponse, WaveResponses
 from repro.survey.scales import Category
-from repro.survey.scoring import cohort_scores
 
 SEEDS = (2018, 7919, 0, 1)
 REL_TOL = 1e-12
+
+
+# -- the list-based oracle ----------------------------------------------------
+#
+# Sample variance and SD with compensated two-pass summation.
+
+
+def variance(xs: Sequence[float], ddof: int = 1) -> float:
+    """Variance with ``ddof`` delta degrees of freedom (default: sample)."""
+    n = len(xs)
+    if n <= ddof:
+        raise ValueError(f"variance requires more than ddof={ddof} observations, got {n}")
+    m = mean(xs)
+    # Two-pass algorithm with compensated summation for numerical stability.
+    ss = math.fsum((x - m) ** 2 for x in xs)
+    comp = math.fsum(x - m for x in xs)
+    return (ss - comp * comp / n) / (n - ddof)
+
+
+def stdev(xs: Sequence[float], ddof: int = 1) -> float:
+    """Standard deviation (sample by default)."""
+    return math.sqrt(variance(xs, ddof=ddof))
+
+
+# Table 1: the paired t-test.
+
+Alternative = Literal["two-sided", "less", "greater"]
+
+
+def _p_from_t(t: float, df: float, alternative: Alternative) -> float:
+    if alternative == "two-sided":
+        return 2.0 * t_sf(abs(t), df)
+    if alternative == "greater":
+        return t_sf(t, df)
+    if alternative == "less":
+        return t_cdf(t, df)
+    raise ValueError(f"unknown alternative {alternative!r}")
+
+
+def ttest_paired(
+    first: Sequence[float],
+    second: Sequence[float],
+    alternative: Alternative = "two-sided",
+) -> TTestResult:
+    """Paired t-test, the paper's Table 1 analysis.
+
+    ``first`` and ``second`` are per-student scores for the two survey
+    waves, in the same student order.  The reported mean difference is
+    ``mean(first) - mean(second)`` (matching the paper's negative sign
+    when scores improve in wave two).
+    """
+    if len(first) != len(second):
+        raise ValueError(
+            f"paired t-test requires equal lengths, got {len(first)} and {len(second)}"
+        )
+    n = len(first)
+    if n < 2:
+        raise ValueError("paired t-test requires at least 2 pairs")
+    diffs = [a - b for a, b in zip(first, second)]
+    d_mean = mean(diffs)
+    d_sd = stdev(diffs)
+    if d_sd == 0.0:
+        raise ValueError("paired t-test undefined when all differences are equal")
+    t = d_mean / (d_sd / math.sqrt(n))
+    df = n - 1
+    return TTestResult(
+        kind="paired",
+        mean_difference=d_mean,
+        t=t,
+        df=df,
+        p_value=_p_from_t(t, df, alternative),
+        n=n,
+    )
+
+
+# Tables 2 and 3: Cohen's d with average-variance pooling.
+
+
+def cohens_d_paper(first: Sequence[float], second: Sequence[float]) -> CohensDResult:
+    """Cohen's d exactly as the paper's Tables 2 and 3 compute it.
+
+    ``d = (M2 - M1) / sqrt((SD1^2 + SD2^2) / 2)`` with sample SDs.
+    Positive d means the second wave scored higher.
+    """
+    if len(first) < 2 or len(second) < 2:
+        raise ValueError("Cohen's d requires at least 2 observations per wave")
+    m1, m2 = mean(first), mean(second)
+    s1, s2 = stdev(first), stdev(second)
+    sd_pooled = math.sqrt((s1 * s1 + s2 * s2) / 2.0)
+    if sd_pooled == 0.0:
+        raise ValueError("Cohen's d undefined for two zero-variance samples")
+    return CohensDResult(
+        d=(m2 - m1) / sd_pooled,
+        mean1=m1,
+        mean2=m2,
+        sd1=s1,
+        sd2=s2,
+        n1=len(first),
+        n2=len(second),
+        sd_pooled=sd_pooled,
+        method="average-variance (paper)",
+    )
+
+
+# Table 4: Pearson r with its t-transform p-value.
+
+
+def _pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
+    n = len(xs)
+    mx, my = mean(xs), mean(ys)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    syy = math.fsum((y - my) ** 2 for y in ys)
+    if sxx == 0.0 or syy == 0.0:
+        raise ValueError("correlation undefined for a constant sequence")
+    denom = math.sqrt(sxx * syy)
+    if denom == 0.0:
+        # sxx * syy underflowed to zero for denormal-scale sums; the
+        # factored form cannot underflow when both inputs are nonzero.
+        denom = math.sqrt(sxx) * math.sqrt(syy)
+    r = sxy / denom
+    # Guard against floating-point overshoot past +/-1.
+    return max(-1.0, min(1.0, r))
+
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
+    """Pearson product-moment correlation with two-sided p-value."""
+    if len(xs) != len(ys):
+        raise ValueError(f"correlation requires equal lengths, got {len(xs)} and {len(ys)}")
+    n = len(xs)
+    if n < 3:
+        raise ValueError("correlation requires at least 3 pairs")
+    r = _pearson_r(xs, ys)
+    if abs(r) == 1.0:
+        p = 0.0
+    else:
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+        p = 2.0 * t_sf(abs(t), n - 2)
+    return CorrelationResult(r=r, p_value=p, n=n, method="pearson")
+
+
+# Scoring: raw item responses to the per-student vectors of Tables 1–6.
+# Skill scores average *all* items of an element; the Beyerlein composite
+# weights the definition item and the mean of the components equally.
+
+
+def composite_score(definition: float, components: Sequence[float]) -> float:
+    """Composite score of one element for one respondent (or one cohort mean)."""
+    if not components:
+        raise ValueError("composite score requires at least one component item")
+    return (definition + mean(components)) / 2.0
+
+
+def element_score(response: StudentResponse, element: str, category: Category) -> float:
+    """Skill score: average of all the element's item scores."""
+    rating = response.rating(element, category)
+    return mean(rating.all_scores)
+
+
+def skill_scores(response: StudentResponse, category: Category) -> dict[str, float]:
+    """Skill score for every element answered by this student."""
+    names = sorted(response.element_names())
+    return {name: element_score(response, name, category) for name in names}
+
+
+def overall_average(response: StudentResponse, category: Category) -> float:
+    """Average of *all* question scores of one category (Table 1's variable)."""
+    scores: list[int] = []
+    for (_name, cat), rating in response.ratings.items():
+        if cat is category:
+            scores.extend(rating.all_scores)
+    if not scores:
+        raise ValueError(
+            f"student {response.student_id!r} has no scores for {category.value}"
+        )
+    return mean(scores)
+
+
+def composite_scores(response: StudentResponse, category: Category) -> dict[str, float]:
+    """Beyerlein composite score per element for one student."""
+    out: dict[str, float] = {}
+    for name in sorted(response.element_names()):
+        rating = response.rating(name, category)
+        out[name] = composite_score(rating.definition, rating.components)
+    return out
+
+
+@dataclass(frozen=True)
+class CohortScores:
+    """Cohort-level score vectors for one wave and one category.
+
+    ``overall`` is the per-student overall average (length N, student order
+    fixed by sorted id); ``per_skill`` maps element name to the per-student
+    skill-score vector; ``composite_means`` maps element name to the cohort
+    mean composite score (what Tables 5/6 rank).
+    """
+
+    wave_name: str
+    category: Category
+    student_ids: tuple[str, ...]
+    overall: tuple[float, ...]
+    per_skill: Mapping[str, tuple[float, ...]]
+    composite_means: Mapping[str, float]
+
+
+def cohort_scores(wave: WaveResponses, category: Category) -> CohortScores:
+    """Aggregate one wave's raw responses into cohort score vectors."""
+    ordered = sorted(wave.responses, key=lambda r: r.student_id)
+    if not ordered:
+        raise ValueError(f"wave {wave.wave_name!r} has no responses")
+    ids = tuple(r.student_id for r in ordered)
+    overall = tuple(overall_average(r, category) for r in ordered)
+
+    element_names = wave.instrument.element_names
+    per_skill: dict[str, tuple[float, ...]] = {
+        name: tuple(element_score(r, name, category) for r in ordered)
+        for name in element_names
+    }
+    composites = [composite_scores(r, category) for r in ordered]
+    composite_means = {
+        name: mean([scores[name] for scores in composites])
+        for name in element_names
+    }
+    return CohortScores(
+        wave_name=wave.wave_name,
+        category=category,
+        student_ids=ids,
+        overall=overall,
+        per_skill=per_skill,
+        composite_means=composite_means,
+    )
 
 
 def list_analysis(first: WaveResponses, second: WaveResponses) -> StudyAnalysis:

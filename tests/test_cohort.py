@@ -123,6 +123,12 @@ class TestFormation:
         assert formed["ability_range"] < random["ability_range"]
         assert formed["solo_female_teams"] <= random["solo_female_teams"]
 
+    def test_ability_range_a_fifth_of_random(self):
+        s1, _ = make_paper_sections()
+        formed = balance_report(form_teams(s1.students, 13))
+        random = balance_report(random_teams(s1.students, 13, seed=3))
+        assert formed["ability_range"] < random["ability_range"] / 5
+
     def test_no_isolated_women(self):
         for section in make_paper_sections():
             teams = form_teams(section.students, 13)

@@ -130,6 +130,42 @@ class TestAnalysis:
                 if w == wave:
                     assert ours_g[skill] == pytest.approx(target, abs=0.02), skill
 
+    def test_tables_2_3_wave_descriptives(self, study_result):
+        analysis = study_result.analysis
+        for ours, paper, mean_tol in (
+            (analysis.cohens_d_emphasis, PAPER.table2, 0.01),
+            (analysis.cohens_d_growth, PAPER.table3, 0.02),
+        ):
+            assert ours.mean1 == pytest.approx(paper.mean1, abs=mean_tol)
+            assert ours.mean2 == pytest.approx(paper.mean2, abs=mean_tol)
+            assert ours.sd1 == pytest.approx(paper.sd1, abs=0.01)
+            assert ours.sd2 == pytest.approx(paper.sd2, abs=0.01)
+            assert ours.n1 == ours.n2 == 124
+
+    def test_growth_effects_outrank_emphasis_effects(self, study_result):
+        """Paper: |t| 5.11 > 2.63, and Teamwork's emphasis-growth
+        correlation strengthens from 0.38 to 0.47."""
+        analysis = study_result.analysis
+        assert abs(analysis.ttest_growth.t) > abs(analysis.ttest_emphasis.t)
+        assert analysis.pearson[("Teamwork", W2)].r > \
+            analysis.pearson[("Teamwork", W1)].r
+
+    @pytest.mark.parametrize("seed", [7, 42, 1, 555])
+    def test_headline_shapes_hold_on_other_seeds(self, seed):
+        """Looser shape bounds on four fixed seeds besides 2018.  Not a
+        robustness claim: the seed-panel pass rate (ROADMAP item 4) is."""
+        analysis = PBLStudy(seed=seed, simulate_teamwork=False).run().analysis
+        assert analysis.ttest_emphasis.mean_difference < 0
+        assert analysis.ttest_growth.mean_difference < 0
+        assert analysis.ttest_emphasis.p_value < 0.05
+        assert analysis.ttest_growth.p_value < 0.05
+        assert 0.4 <= analysis.cohens_d_emphasis.d <= 0.65
+        assert 0.7 <= analysis.cohens_d_growth.d <= 1.0
+        assert min(c.r for c in analysis.pearson.values()) > 0.3
+        assert max(abs(analysis.pearson[key].r - target)
+                   for key, target in PAPER.table4_r.items()) < 0.08
+        assert analysis.growth_ranking[W1][0].name == "Teamwork"
+
     def test_hypotheses_evidence_strings(self, study_result):
         for outcome in evaluate_hypotheses(study_result.analysis):
             assert outcome.evidence
@@ -183,3 +219,8 @@ class TestReportingHelpers:
         assert "week" in render_fig1_timeline()
         assert "Teamwork" in render_fig2_instrument()
         assert "Idea Generation" in render_fig2_instrument(element_name="Idea Generation")
+
+    def test_fig2_renders_definition_and_both_scales(self):
+        rendered = render_fig2_instrument()
+        assert "definition" in rendered
+        assert "CE" in rendered and "PG" in rendered

@@ -38,6 +38,13 @@ class TestTimeline:
     def test_surveys_at_midpoint_and_end(self):
         assert paper_timeline().survey_weeks == (8, 15)
 
+    def test_assignments_span_weeks_2_to_11_and_final_in_week_15(self):
+        timeline = paper_timeline()
+        assignments = timeline.of_kind(EventKind.ASSIGNMENT)
+        assert assignments[0].start_week == 2
+        assert assignments[-1].end_week == 11
+        assert timeline.of_kind(EventKind.FINAL)[0].start_week == 15
+
     def test_quiz_after_each_assignment(self):
         timeline = paper_timeline()
         quizzes = timeline.of_kind(EventKind.QUIZ)

@@ -13,6 +13,7 @@ from repro.course.grading import (
     grade_student,
 )
 from repro.course.simulate import SimulatedGradebook, _clip_score
+from tests.test_analysis_oracle import pearson
 
 
 def _reference_simulate_gradebook(teams, seed=2018, n_offenders=2):
@@ -148,7 +149,6 @@ class TestGradebook:
 
     def test_ability_correlates_with_individual_scores(self, teams, gradebook):
         """Quizzes/exams track ability, so totals should correlate with it."""
-        from repro.stats.correlation import pearson
         students = {m.student_id: m for t in teams for m in t.members}
         ids = sorted(set(students) - set(gradebook.offenders))
         abilities = [students[sid].ability_index for sid in ids]

@@ -164,6 +164,21 @@ class TestAssignment5Protocol:
             >= base.measurements["sequential"].result.max_score
         )
 
+    def test_speedup_bounded_by_the_four_cores(self):
+        """Both parallel styles beat sequential by more than 2x and at
+        most the Pi's core count; a fifth thread leaves sequential time
+        alone; max ligand 7 slows every style and parallel still wins."""
+        base = run_assignment5(DrugDesignConfig(n_ligands=120, max_ligand=5))
+        seq = base.measurements["sequential"].simulated_us
+        for style in ("openmp", "cxx11_threads"):
+            assert 2.0 < seq / base.measurements[style].simulated_us <= 4.0
+        five = run_assignment5(DrugDesignConfig(n_ligands=120, num_threads=5))
+        assert five.measurements["sequential"].simulated_us == pytest.approx(seq)
+        bigger = run_assignment5(DrugDesignConfig(n_ligands=120, max_ligand=7))
+        for style, measurement in base.measurements.items():
+            assert bigger.measurements[style].simulated_us > measurement.simulated_us
+        assert bigger.fastest_simulated in ("openmp", "cxx11_threads")
+
     def test_render(self):
         text = run_assignment5(DrugDesignConfig(n_ligands=30)).render()
         assert "fastest (simulated)" in text

@@ -21,6 +21,7 @@ import pytest
 
 from repro import faults, telemetry
 from repro.cli import main
+from repro.faults.bench import chaotic_job, fault_free_job
 from repro.faults import (
     FakeClock,
     FaultKind,
@@ -119,6 +120,15 @@ class TestMapReduceWiring:
         reference = engine.run_sequential(spec, DOCUMENTS)
         assert result.output == reference.output
         assert result.retries >= 1
+
+    def test_bench_jobs_agree_under_the_seed_7_plan(self):
+        """``repro bench faults`` times these two jobs; the chaotic one
+        must recover to the fault-free answer."""
+        clean = fault_free_job()
+        assert clean.retries == 0
+        result, injector = chaotic_job()
+        assert result.output == clean.output
+        assert injector.counts_by_kind().get("crash", 0) >= 1
 
     def test_shuffle_corruption_is_detected_and_reexecuted(self):
         plan = FaultPlan(rules=(

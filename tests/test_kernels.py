@@ -21,7 +21,7 @@ from repro.drugdesign.ligands import DEFAULT_PROTEIN, generate_ligands
 from repro.kernels import lcs as lcs_kernels
 from repro.kernels import resample
 from repro.kernels import stencil as stencil_kernels
-from repro.stats.bootstrap import bootstrap_ci, bootstrap_paired_ci
+from repro.stats.bootstrap import bootstrap_ci
 from repro.stats.descriptive import median as median_oracle
 
 #: Non-ASCII characters and NUL included: the kernels compare characters,
@@ -150,20 +150,6 @@ def test_bootstrap_estimates_bit_identical(seed, name):
     assert fast.tolist() == slow.tolist()
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=500),
-    name=st.sampled_from(resample.PAIRED_STATISTICS),
-)
-def test_paired_bootstrap_estimates_bit_identical(seed, name):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(3.5, 0.4, 19)
-    b = a + rng.normal(0.3, 0.2, 19)
-    fast = kernels.paired_bootstrap_estimates(a, b, name, 50, seed)
-    slow = resample.paired_bootstrap_estimates_python(a, b, name, 50, seed)
-    assert fast.tolist() == slow.tolist()
-
-
 @pytest.mark.parametrize("name", resample.STATISTICS)
 def test_bootstrap_ci_backends_bit_identical(name):
     rng = np.random.default_rng(11)
@@ -172,20 +158,6 @@ def test_bootstrap_ci_backends_bit_identical(name):
         fast = bootstrap_ci(xs, name, n_resamples=200, seed=3)
     with kernels.use_backend("python"):
         slow = bootstrap_ci(xs, name, n_resamples=200, seed=3)
-    assert (fast.estimate, fast.low, fast.high) == (
-        slow.estimate, slow.low, slow.high
-    )
-
-
-@pytest.mark.parametrize("name", resample.PAIRED_STATISTICS)
-def test_bootstrap_paired_ci_backends_bit_identical(name):
-    rng = np.random.default_rng(12)
-    xs = rng.normal(3.4, 0.3, 27).tolist()
-    ys = (np.asarray(xs) + rng.normal(0.4, 0.2, 27)).tolist()
-    with kernels.use_backend("numpy"):
-        fast = bootstrap_paired_ci(xs, ys, name, n_resamples=200, seed=5)
-    with kernels.use_backend("python"):
-        slow = bootstrap_paired_ci(xs, ys, name, n_resamples=200, seed=5)
     assert (fast.estimate, fast.low, fast.high) == (
         slow.estimate, slow.low, slow.high
     )
@@ -210,14 +182,6 @@ def test_resolve_statistic_names_and_rejects_unknown():
     assert resample.resolve_statistic(lambda xs: 0.0) is None
     with pytest.raises(ValueError):
         resample.resolve_statistic("mode")
-    with pytest.raises(ValueError):
-        resample.resolve_paired_statistic("slope")
-
-
-def test_pearson_r_is_clipped():
-    a = np.array([1.0, 2.0, 3.0, 4.0])
-    value = resample.paired_statistic_value(a, 2.0 * a, "pearson_r")
-    assert value == 1.0
 
 
 # -- vectorized median --------------------------------------------------------

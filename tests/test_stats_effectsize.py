@@ -1,4 +1,5 @@
-"""Cohen's d: the paper's formula, bands, and algebraic properties."""
+"""Cohen's d: the paper's formula (the list-based oracle), bands, and
+algebraic properties."""
 
 import math
 
@@ -7,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.effectsize import (
-    cohens_d_av,
-    cohens_d_interpretation,
-    cohens_d_paired,
-    cohens_d_paper,
-    cohens_d_pooled,
-    hedges_g,
-)
+from repro.stats.effectsize import cohens_d_interpretation
+from tests.test_analysis_oracle import cohens_d_paper
 
 rng = np.random.default_rng(7)
 A = list(rng.normal(4.02, 0.23, 124))
@@ -38,14 +33,6 @@ class TestPaperFormula:
         expected = math.sqrt((result.sd1**2 + result.sd2**2) / 2.0)
         assert result.sd_pooled == pytest.approx(expected, rel=1e-12)
 
-    def test_av_alias(self):
-        assert cohens_d_av(A, B).d == pytest.approx(cohens_d_paper(A, B).d, rel=1e-12)
-
-    def test_equal_n_matches_classic_pooling_closely(self):
-        paper = cohens_d_paper(A, B).d
-        classic = cohens_d_pooled(A, B).d
-        assert paper == pytest.approx(classic, rel=1e-9)  # identical when n1 == n2
-
     def test_zero_variance_raises(self):
         with pytest.raises(ValueError):
             cohens_d_paper([1.0, 1.0], [1.0, 1.0])
@@ -65,34 +52,6 @@ class TestPaperFormula:
 
     def test_antisymmetry(self):
         assert cohens_d_paper(A, B).d == pytest.approx(-cohens_d_paper(B, A).d, rel=1e-12)
-
-
-class TestOtherVariants:
-    def test_pooled_unequal_n(self):
-        short = A[:50]
-        result = cohens_d_pooled(short, B)
-        v1, v2 = np.var(short, ddof=1), np.var(B, ddof=1)
-        expected_sd = math.sqrt((49 * v1 + 123 * v2) / (49 + 123))
-        assert result.sd_pooled == pytest.approx(expected_sd, rel=1e-10)
-
-    def test_paired_dz(self):
-        diffs = [b - a for a, b in zip(A, B)]
-        expected = np.mean(diffs) / np.std(diffs, ddof=1)
-        assert cohens_d_paired(A, B).d == pytest.approx(expected, rel=1e-10)
-
-    def test_paired_requires_equal_lengths(self):
-        with pytest.raises(ValueError):
-            cohens_d_paired([1.0, 2.0], [1.0])
-
-    def test_hedges_smaller_than_cohen(self):
-        g = hedges_g(A[:10], B[:10])
-        d = cohens_d_pooled(A[:10], B[:10])
-        assert abs(g.d) < abs(d.d)
-
-    def test_hedges_correction_vanishes_for_large_n(self):
-        g = hedges_g(A, B)
-        d = cohens_d_pooled(A, B)
-        assert g.d == pytest.approx(d.d, rel=0.01)
 
 
 class TestInterpretation:

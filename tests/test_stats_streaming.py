@@ -1,23 +1,23 @@
 """Streaming moments: merge correctness, permutation stability, and the
-``*_from_stats`` entry points matching their array-based counterparts."""
+``*_from_stats`` entry points matching the list-based oracle bit for bit
+and scipy to tolerance."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats import (
     cohens_d_from_stats,
-    cohens_d_paper,
     pearson_r_from_stats,
-    ttest_paired,
     ttest_paired_from_stats,
 )
-from repro.stats.correlation import pearson
-from repro.stats.descriptive import mean, variance
+from repro.stats.descriptive import mean
 from repro.stats.streaming import CoMoments, Moments, merge_indexed
+from tests.test_analysis_oracle import cohens_d_paper, pearson, ttest_paired, variance
 
 # Finite, moderate floats: the accumulators are used on Likert-derived
 # values in [1, 5]; a wide-but-bounded range exercises the numerics
@@ -175,3 +175,64 @@ class TestFromStatsMatchArrayVersions:
         assert got.r == expected.r
         assert got.p_value == expected.p_value
         assert got.n == expected.n
+
+
+# Likert-derived scores: means of 1..5 item scores, the values the
+# product feeds these entry points.
+_scores = st.lists(st.integers(min_value=1, max_value=5), min_size=2,
+                   max_size=10).map(lambda items: sum(items) / len(items))
+
+
+class TestFromStatsAgainstScipy:
+    """The product path, fed through ``Moments``/``CoMoments.from_batch``
+    as the analysis feeds it, against scipy and numpy directly."""
+
+    @given(st.lists(st.tuples(_scores, _scores), min_size=2, max_size=150))
+    @settings(max_examples=80, deadline=None)
+    def test_ttest_paired_from_stats_matches_ttest_rel(self, pairs):
+        first = np.asarray([p[0] for p in pairs])
+        second = np.asarray([p[1] for p in pairs])
+        diff = Moments.from_batch(first - second)
+        if float(diff.variance()) <= 1e-12:
+            return  # all differences equal: no t statistic to compare
+        got = ttest_paired_from_stats(diff.count, float(diff.mean),
+                                      float(diff.variance()))
+        ref = scipy_stats.ttest_rel(first, second)
+        assert got.t == pytest.approx(ref.statistic, rel=1e-9, abs=1e-9)
+        assert got.p_value == pytest.approx(ref.pvalue, rel=1e-8, abs=1e-12)
+        assert got.df == len(pairs) - 1
+        assert got.mean_difference == pytest.approx(
+            float(np.mean(first - second)), rel=1e-12, abs=1e-12)
+
+    @given(st.lists(st.tuples(_scores, _scores), min_size=3, max_size=150))
+    @settings(max_examples=80, deadline=None)
+    def test_pearson_r_from_stats_matches_pearsonr(self, pairs):
+        xs = np.asarray([p[0] for p in pairs])
+        ys = np.asarray([p[1] for p in pairs])
+        if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
+            return  # constant sequence: no correlation to compare
+        co = CoMoments.from_batch(xs, ys)
+        got = pearson_r_from_stats(co.count, float(co.m2x), float(co.m2y),
+                                   float(co.cxy))
+        ref = scipy_stats.pearsonr(xs, ys)
+        assert got.r == pytest.approx(ref.statistic, rel=1e-9, abs=1e-12)
+        if 1.0 - abs(ref.statistic) < 1e-9:
+            # |r| within rounding of 1: p rests on the cancellation in
+            # 1 - r^2, so both sides only agree that it is negligible.
+            assert got.p_value < 1e-6 and ref.pvalue < 1e-6
+        else:
+            assert got.p_value == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
+
+    @given(st.lists(_scores, min_size=2, max_size=150),
+           st.lists(_scores, min_size=2, max_size=150))
+    @settings(max_examples=80, deadline=None)
+    def test_cohens_d_from_stats_matches_the_paper_formula(self, first, second):
+        a, b = np.asarray(first), np.asarray(second)
+        s1, s2 = np.std(a, ddof=1), np.std(b, ddof=1)
+        if s1 == 0.0 and s2 == 0.0:
+            return  # two zero-variance waves: d is undefined
+        m1, m2 = Moments.from_batch(a), Moments.from_batch(b)
+        got = cohens_d_from_stats(m1.count, float(m1.mean), float(m1.variance()),
+                                  m2.count, float(m2.mean), float(m2.variance()))
+        expected = (np.mean(b) - np.mean(a)) / np.sqrt((s1 ** 2 + s2 ** 2) / 2)
+        assert got.d == pytest.approx(expected, rel=1e-9, abs=1e-9)

@@ -1,4 +1,5 @@
-"""t-tests vs scipy, plus semantics the analysis pipeline relies on."""
+"""The list-based paired t-test oracle vs scipy, plus semantics the
+analysis pipeline relies on."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,11 @@ import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.ttest import (
-    ttest_independent,
-    ttest_one_sample,
-    ttest_paired,
-    ttest_welch,
-)
+from tests.test_analysis_oracle import ttest_paired
 
 rng = np.random.default_rng(42)
 X = list(rng.normal(4.0, 0.3, 60))
 Y = list(rng.normal(4.1, 0.25, 60))
-Z = list(rng.normal(3.9, 0.5, 45))
 
 sample_lists = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False),
@@ -58,14 +53,6 @@ class TestPaired:
         greater = ttest_paired(X, Y, alternative="greater")
         assert less.p_value + greater.p_value == pytest.approx(1.0, abs=1e-12)
 
-    def test_confidence_interval_covers_mean_diff(self):
-        result = ttest_paired(X, Y)
-        lo, hi = result.confidence_interval(0.95)
-        assert lo < result.mean_difference < hi
-        ref_lo, ref_hi = scipy_stats.ttest_rel(X, Y).confidence_interval(0.95)
-        assert lo == pytest.approx(ref_lo, rel=1e-6)
-        assert hi == pytest.approx(ref_hi, rel=1e-6)
-
     @given(sample_lists, st.floats(0.1, 5.0))
     @settings(max_examples=30)
     def test_shift_gives_significant_negative_diff(self, xs, shift):
@@ -73,48 +60,3 @@ class TestPaired:
         ys = [x + shift + 0.01 * ((i % 3) - 1) for i, x in enumerate(xs)]
         result = ttest_paired(xs, ys)
         assert result.mean_difference < 0
-
-
-class TestOneSample:
-    def test_against_scipy(self):
-        ours = ttest_one_sample(X, 4.0)
-        ref = scipy_stats.ttest_1samp(X, 4.0)
-        assert ours.t == pytest.approx(ref.statistic, rel=1e-10)
-        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
-
-    def test_at_true_mean_not_significant(self):
-        xs = [3.9, 4.0, 4.1, 4.0, 3.95, 4.05]
-        assert not ttest_one_sample(xs, 4.0).significant()
-
-    def test_zero_variance_raises(self):
-        with pytest.raises(ValueError):
-            ttest_one_sample([2.0, 2.0, 2.0], 1.0)
-
-
-class TestTwoSample:
-    def test_pooled_against_scipy(self):
-        ours = ttest_independent(X, Z)
-        ref = scipy_stats.ttest_ind(X, Z)
-        assert ours.t == pytest.approx(ref.statistic, rel=1e-10)
-        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
-        assert ours.df == len(X) + len(Z) - 2
-
-    def test_welch_against_scipy(self):
-        ours = ttest_welch(X, Z)
-        ref = scipy_stats.ttest_ind(X, Z, equal_var=False)
-        assert ours.t == pytest.approx(ref.statistic, rel=1e-10)
-        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
-        assert ours.df == pytest.approx(ref.df, rel=1e-10)
-
-    def test_welch_equals_pooled_for_equal_groups(self):
-        a = ttest_independent(X, Y)
-        b = ttest_welch(X, Y)
-        assert a.t == pytest.approx(b.t, rel=0.02)
-
-    def test_requires_two_per_group(self):
-        with pytest.raises(ValueError):
-            ttest_independent([1.0], [2.0, 3.0])
-
-    def test_str_rendering(self):
-        text = str(ttest_independent(X, Z))
-        assert "t(" in text and "p=" in text

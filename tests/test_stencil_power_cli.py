@@ -1,15 +1,12 @@
-"""The MPI stencil, power analysis, scope patternlets, and the CLI."""
+"""The MPI stencil, scope patternlets, and the CLI."""
 
-import numpy as np
 import pytest
-import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.mpi import heat_mpi, heat_sequential
 from repro.patternlets import run_atomic_demo, run_scope_demo
-from repro.stats.power import paired_t_power, required_n_paired_t
 
 
 class TestHeatStencil:
@@ -55,50 +52,6 @@ class TestHeatStencil:
             heat_sequential(self.U0, alpha=0.9)
         with pytest.raises(ValueError):
             heat_mpi(self.U0, n_ranks=0)
-
-
-class TestPower:
-    def test_matches_exact_noncentral_t(self):
-        for d, n in [(0.5, 124), (0.3, 50), (0.2, 30), (0.5, 34), (0.8, 15)]:
-            df = n - 1
-            delta = d * np.sqrt(n)
-            t_crit = scipy_stats.t.ppf(0.975, df)
-            exact = scipy_stats.nct.sf(t_crit, df, delta) + scipy_stats.nct.cdf(
-                -t_crit, df, delta
-            )
-            ours = paired_t_power(d, n).power
-            assert ours == pytest.approx(exact, abs=2e-3), (d, n)
-
-    def test_study_was_overpowered(self):
-        """At N=124, d=0.5 (the emphasis effect) has essentially
-        certain detection — worth knowing about the design."""
-        assert paired_t_power(0.5, 124).power > 0.999
-
-    def test_power_monotone_in_n(self):
-        powers = [paired_t_power(0.3, n).power for n in (10, 30, 90, 270)]
-        assert powers == sorted(powers)
-
-    def test_power_monotone_in_effect(self):
-        powers = [paired_t_power(d, 40).power for d in (0.1, 0.3, 0.6, 1.0)]
-        assert powers == sorted(powers)
-
-    def test_required_n_canonical_values(self):
-        """G*Power's textbook answers: d=0.5 -> 34, d=0.2 -> 199."""
-        assert required_n_paired_t(0.5, power=0.8) == 34
-        assert required_n_paired_t(0.2, power=0.8) == 199
-
-    def test_required_n_round_trips(self):
-        n = required_n_paired_t(0.4, power=0.9)
-        assert paired_t_power(0.4, n).power >= 0.9
-        assert paired_t_power(0.4, n - 1).power < 0.9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            paired_t_power(0.5, 1)
-        with pytest.raises(ValueError):
-            paired_t_power(0.5, 10, alpha=1.5)
-        with pytest.raises(ValueError):
-            required_n_paired_t(0.0)
 
 
 class TestScopePatternlets:

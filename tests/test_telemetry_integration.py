@@ -90,6 +90,20 @@ class TestRetryEvents:
         assert {t.parent_id for t in tasks} == {job.span_id}
 
 
+def test_fork_join_region_spans_region_threads_and_barrier():
+    omp = OpenMP(num_threads=4)
+
+    def body(ctx) -> None:
+        ctx.barrier()
+
+    with telemetry.session() as session:
+        omp.parallel(body)
+    names = [s.name for s in session.tracer.spans]
+    assert names.count("omp.parallel") == 1
+    assert names.count("omp.thread") == 4
+    assert "omp.barrier" in names
+
+
 # -- stable partitioning across hash seeds ------------------------------------
 
 
